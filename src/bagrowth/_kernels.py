@@ -5,6 +5,8 @@ environment variable ``BAGROWTH_DISABLE_NUMBA=1`` forces the pure
 NumPy/Python path instead. Both paths consume the same pre-drawn
 uniform variates and are arithmetically identical, so a fixed seed
 gives the same graph (and the same distribution roll) on either path.
+Holme-kim growth at m=1 takes neither: ``grow`` resolves it in NumPy
+without a step loop, with the same result as the loop.
 """
 
 import os
@@ -24,7 +26,7 @@ if not _env_disabled():
         from numba import njit as _njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+    except ImportError:  # numba is an optional extra
         pass
 
 
@@ -183,9 +185,45 @@ def _mixture_roll_numpy(m, m0, d, t):
     return s_new, s_init
 
 
+def _grow_holme_kim_m1(m0, t, u):
+    """_grow_impl for holme-kim at m=1, without the step loop.
+
+    Step s picks slot idx_s = int(u_s * tdeg_s) of the endpoint list.
+    Even slots of new edges hold the new vertex, initial slots hold the
+    clique, so only odd slots (the targets) are unknown, and each copies
+    an earlier slot. Pointer jumping (src = src[src]) resolves every
+    copy chain in O(log depth) passes of O(E) work each. Consumes the
+    same uniforms as _grow_impl and returns the same (edges, degree).
+    """
+    e_init = m0 * (m0 - 1) // 2
+    edges = np.empty((e_init + t, 2), np.int64)
+    edges[:e_init, 0], edges[:e_init, 1] = np.triu_indices(m0, 1)
+    edges[e_init:, 0] = np.arange(m0, m0 + t)
+    tdeg = 2 * (e_init + np.arange(t, dtype=np.int64))
+    idx = np.minimum((u * tdeg).astype(np.int64), tdeg - 1)
+    src = np.arange(2 * (e_init + t), dtype=np.int64)
+    src[2 * e_init + 1::2] = idx
+    while True:
+        nxt = src[src]
+        if np.array_equal(nxt, src):
+            break
+        src = nxt
+    flat = edges.reshape(-1)  # slot p of the endpoint list is flat[p]
+    edges[e_init:, 1] = flat[src[2 * e_init + 1::2]]
+    degree = np.bincount(flat, minlength=m0 + t).astype(np.int64, copy=False)
+    return edges, degree
+
+
 if NUMBA_ENABLED:
-    grow = _njit(cache=True)(_grow_impl)
+    _grow_loop = _njit(cache=True)(_grow_impl)
     mixture_roll = _njit(cache=True)(_mixture_roll_loops)
 else:
-    grow = _grow_impl
+    _grow_loop = _grow_impl
     mixture_roll = _mixture_roll_numpy
+
+
+def grow(m0, m, t, uniforms, sequential):
+    """Grow a graph as _grow_impl does; holme-kim at m=1 skips the step loop."""
+    if m == 1 and not sequential:
+        return _grow_holme_kim_m1(m0, t, uniforms[:, 0])
+    return _grow_loop(m0, m, t, uniforms, sequential)

@@ -167,9 +167,10 @@ def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
 
     Evaluates sum_s f(k,i,s) * prod_{j=s}^{t-1} (1 - k/(2j+d)) with the
     survival products carried as log1p sums, factored as
-    exp(L[t] - L[s]) so every exponent is <= 0. This route consumes only
-    the degree-(k-1) row of the per-vertex law, so it is independent of
-    the forward roll of the degree-k row it is checked against.
+    exp(L[t] - L[s]) and summed in the log domain, so no term overflows.
+    This route consumes only the degree-(k-1) row of the per-vertex law,
+    so it is independent of the forward roll of the degree-k row it is
+    checked against.
     """
     start, deg0 = _start_of(i, params)
     if k <= deg0:
@@ -192,16 +193,11 @@ def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
     # L[x] = sum_{j=s_min}^{x-1} log(1 - k/(2j+d)), x = s_min..t_max
     logs = np.log1p(-k / (2.0 * times[:-1] + d)) if len(times) > 1 else np.empty(0)
     big_l = np.concatenate([[0.0], np.cumsum(logs)])
-    if len(big_l) and -big_l[-1] > 600.0:
-        # factored cumsum would overflow; evaluate term by term
-        for ti, t in enumerate(times):
-            acc = 0.0
-            for si, s in enumerate(range(s_min, t + 1)):
-                acc += f[si] * exp(big_l[ti] - big_l[si])
-            out[t - start] = acc
-        return out
-    scaled = np.cumsum(f * np.exp(-big_l))
-    out[times - start] = np.exp(big_l) * scaled
+    # exp(-L[s]) overflows once -L passes ~709, so the prefix sums of
+    # f[s] * exp(-L[s]) are carried in the log domain; log 0 = -inf.
+    with np.errstate(divide="ignore"):
+        log_f = np.log(f)
+    out[times - start] = np.exp(big_l + np.logaddexp.accumulate(log_f - big_l))
     return out
 
 

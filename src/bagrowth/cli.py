@@ -163,7 +163,7 @@ def cmd_compare(args) -> int:
     exact = network_distribution(args.t, params, k_max=args.k_max)
     report = compare_to_exact(stats, exact)
     limit_hi = min(8 * args.m, int(exact.k[-1]))
-    limit_report = compare_to_limit(stats, args.m, (args.m, limit_hi))
+    limit_report = compare_to_limit(stats, args.m, (args.m, limit_hi), exact=exact)
     meta = _meta(m0=args.m0, m=args.m, t=args.t, seed=args.seed,
                  scheme=args.scheme, replicates=args.replicates)
     write_stats_csv(stats, exact, args.out + ".stats.csv", header=meta)

@@ -12,11 +12,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
+from . import graph
 from .chain import ChainParams, MixtureDistribution, network_distribution
 from .errors import ConfigurationError
-from .graph import RunConfig, generate_from_uniforms
+from .graph import SEQUENTIAL, RunConfig
 from .limits import steady_state, tail_exponent
 
 CHI2_LEVEL = 0.999
@@ -26,8 +27,10 @@ def _replicate_counts(args):
     config, child = args
     rng = np.random.default_rng(child)
     uniforms = rng.random((config.t, config.m))
-    state = generate_from_uniforms(config, uniforms)
-    return np.bincount(state.degree)
+    # only degrees are pooled, so no GraphState (adjacency lists) is built
+    _, degree = graph.grow(config.m0, config.m, config.t, uniforms,
+                           config.scheme == SEQUENTIAL)
+    return np.bincount(degree)
 
 
 @dataclass
@@ -138,6 +141,16 @@ def _exponent_window(stats: EnsembleStats, lo: int, hi: int) -> float:
     return tail_exponent(ks[sel], freq[sel])
 
 
+def chi2_threshold(level: float, dof: int) -> float:
+    """The `level` quantile of the chi-square law with `dof` degrees of freedom.
+
+    This is how scipy.stats.chi2.ppf computes it, bit for bit; calling
+    scipy.special directly keeps the slow scipy.stats import out of
+    every CLI process.
+    """
+    return float(2.0 * special.gammaincinv(dof / 2.0, level))
+
+
 def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
                      level: float = CHI2_LEVEL) -> FitReport:
     """Chi-square of pooled counts against the exact finite-t law.
@@ -159,7 +172,7 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
     obs_g, exp_g = _merge_cells(observed[lo:], expected[lo:])
     chi2 = float(((obs_g - exp_g) ** 2 / exp_g).sum())
     dof = len(obs_g) - 1
-    threshold = float(sps.chi2.ppf(level, dof))
+    threshold = chi2_threshold(level, dof)
     m = cfg.m
     freq = stats.freq
     upto = min(len(freq) - 1, len(exact.probs_full) - 1)
@@ -172,23 +185,28 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
 
 
 def compare_to_limit(stats: EnsembleStats, m: int, k_range: tuple,
-                     exponent_range: tuple = (5, 50)) -> FitReport:
+                     exponent_range: tuple = (5, 50),
+                     exact: MixtureDistribution | None = None) -> FitReport:
     """Relative gaps of empirical frequencies vs the limiting law.
 
     Precondition check: the exact finite-t law must already sit closer to
     the limit than the ensemble's statistical resolution over k_range;
     when it does not, the report is flagged inconclusive rather than
-    failed.
+    failed. Pass `exact` when the caller already holds the law at
+    (m, m0, t); it is rolled here otherwise.
     """
     cfg = stats.config
     lo, hi = k_range
     if lo < m:
         raise ConfigurationError("k_range must start at or above m")
-    params = ChainParams(m=m, m0=cfg.m0)
-    exact = network_distribution(cfg.t, params, k_max=hi)
+    if exact is None:
+        exact = network_distribution(cfg.t, ChainParams(m=m, m0=cfg.m0), k_max=hi)
+    elif (m, cfg.m0, cfg.t) != (exact.params.m, exact.params.m0, exact.time):
+        raise ConfigurationError("ensemble and exact law parameters differ")
     ks = np.arange(lo, hi + 1)
     limit = np.array([steady_state(int(k), m) for k in ks])
-    exact_window = exact.probs_full[lo: hi + 1]
+    probs = exact.probs_full
+    exact_window = np.array([probs[k] if k < len(probs) else 0.0 for k in ks])
     se = stats.se
     resolution = np.array([3 * se[k] if k < len(se) else 0.0 for k in ks])
     resolution = np.maximum(resolution, 1e-4)

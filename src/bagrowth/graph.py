@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from ._kernels import grow
-from .errors import ConfigurationError, EnumerationBoundError
+from .errors import ConfigurationError, EnumerationBoundError, VerificationError
 
 HOLME_KIM = "holme-kim"
 SEQUENTIAL = "sequential"
@@ -63,14 +63,24 @@ class GraphState:
         return out
 
     def check(self) -> None:
-        """Assert structural invariants (simplicity, symmetry, degree sums)."""
-        assert self.total_degree == 2 * len(self.edges)
+        """Check structural invariants (simplicity, symmetry, degree sums).
+
+        Raises VerificationError on the first violation found.
+        """
+        if self.total_degree != 2 * len(self.edges):
+            raise VerificationError(
+                f"degree sum {self.total_degree} != 2 * {len(self.edges)} edges")
         for i, nbrs in enumerate(self.adjacency):
-            assert len(nbrs) == self.degree[i]
-            assert i not in nbrs, "self-loop"
-            assert len(set(nbrs)) == len(nbrs), "parallel edge"
+            if len(nbrs) != self.degree[i]:
+                raise VerificationError(f"vertex {i}: degree {self.degree[i]} "
+                                        f"but {len(nbrs)} neighbours")
+            if i in nbrs:
+                raise VerificationError(f"vertex {i}: self-loop")
+            if len(set(nbrs)) != len(nbrs):
+                raise VerificationError(f"vertex {i}: parallel edge")
             for j in nbrs:
-                assert i in self.adjacency[j], "asymmetric adjacency"
+                if i not in self.adjacency[j]:
+                    raise VerificationError(f"edge {i}-{j}: asymmetric adjacency")
 
 
 @dataclass(frozen=True)
@@ -138,7 +148,9 @@ def step_holme_kim(state: GraphState, m: int, rng: np.random.Generator) -> Graph
     cum = np.cumsum(state.degree)
     first = int(np.searchsorted(cum, u, side="right"))
     nbrs = list(state.adjacency[first])
-    assert len(nbrs) >= m - 1, "neighborhood smaller than m-1"
+    if len(nbrs) < m - 1:
+        raise ConfigurationError(
+            f"vertex {first} has {len(nbrs)} neighbours, fewer than m-1 = {m - 1}")
     # partial Fisher-Yates for m-1 distinct neighbors
     for j in range(m - 1):
         r = j + int(rng.random() * (len(nbrs) - j))

@@ -132,6 +132,14 @@ def test_passage_matches_evolution_small():
                 np.testing.assert_allclose(curve, direct, atol=1e-13)
 
 
+def test_passage_overflow_regime_matches_evolution():
+    # log-survival sum far past exp's range: -L reaches ~2.7e3 here
+    params = bg.ChainParams(m=1, m0=3)
+    law = bg.evolve_vertex(1, 3700, params)
+    curve = bg.passage_curve(2000, 1, 3700, params, law=law)
+    np.testing.assert_allclose(curve, law.table[:, 2000], rtol=0, atol=1e-12)
+
+
 def test_network_distribution_normalization_and_mean():
     for params, t in ((P1, 500), (P2, 400)):
         dist = bg.network_distribution(t, params)

@@ -102,6 +102,32 @@ def test_compare(tmp_path, capsys):
     assert stats[1] == "k,count,freq,se,p_exact,p_limit"
 
 
+def test_compare_rolls_exact_law_once(tmp_path, monkeypatch):
+    from bagrowth import chain
+
+    calls = []
+    roll = chain.mixture_roll
+
+    def counting_roll(*args):
+        calls.append(args)
+        return roll(*args)
+
+    monkeypatch.setattr(chain, "mixture_roll", counting_roll)
+    code = run(["compare", "--m0", "3", "--m", "1", "--t", "200", "--seed", "5",
+                "--replicates", "4", "--out", str(tmp_path / "cmp")])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_compare_small_t_window_past_support(tmp_path, capsys):
+    # at t=2 the law's support ends at k=3, below the limit window's k=8
+    code = run(["compare", "--m0", "3", "--m", "1", "--t", "2", "--seed", "1",
+                "--replicates", "3", "--out", str(tmp_path / "cmp")])
+    assert code == 0
+    report = json.loads((tmp_path / "cmp.report.json").read_text())
+    assert report["limit_inconclusive"] is True
+
+
 def test_verify_proposition(capsys):
     assert run(["verify-proposition"]) == 0
     out = capsys.readouterr().out

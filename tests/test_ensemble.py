@@ -1,11 +1,13 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 import bagrowth as bg
-from bagrowth.ensemble import _merge_cells
+from bagrowth.ensemble import CHI2_LEVEL, _merge_cells, chi2_threshold
 
 
 def test_single_replicate_t0():
@@ -36,6 +38,39 @@ def test_compare_requires_matching_params():
     exact = bg.network_distribution(21, bg.ChainParams(m=1, m0=3))
     with pytest.raises(bg.ConfigurationError):
         bg.compare_to_exact(stats, exact)
+
+
+def test_compare_to_limit_requires_matching_exact_law():
+    stats = bg.run_replicates(bg.RunConfig(m0=3, m=1, t=20, seed=1, replicates=2))
+    for t, m0 in ((21, 3), (20, 4)):
+        exact = bg.network_distribution(t, bg.ChainParams(m=1, m0=m0))
+        with pytest.raises(bg.ConfigurationError):
+            bg.compare_to_limit(stats, 1, (1, 5), exact=exact)
+    exact = bg.network_distribution(20, bg.ChainParams(m=2, m0=3))
+    with pytest.raises(bg.ConfigurationError):
+        bg.compare_to_limit(stats, 1, (1, 5), exact=exact)
+
+
+def test_compare_to_limit_given_law_matches_rolled():
+    cfg = bg.RunConfig(m0=3, m=1, t=300, seed=3, replicates=10)
+    stats = bg.run_replicates(cfg)
+    exact = bg.network_distribution(300, bg.ChainParams(m=1, m0=3))
+    given = bg.compare_to_limit(stats, 1, (1, 6), exact=exact)
+    rolled = bg.compare_to_limit(stats, 1, (1, 6))
+    assert given.as_dict() == rolled.as_dict()
+    assert np.array_equal(given.rel_gaps, rolled.rel_gaps)
+
+
+def test_chi2_threshold_is_scipy_stats_quantile():
+    for dof in range(1, 2001):
+        assert chi2_threshold(CHI2_LEVEL, dof) == sps.chi2.ppf(CHI2_LEVEL, dof)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, bagrowth.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_merge_cells_respects_floor():

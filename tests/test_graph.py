@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +69,36 @@ def test_step_sequential_total_degree():
         bg.step_sequential(s, 2, rng)
     assert s.total_degree == 20 + 2 * 2 * 20
     s.check()
+
+
+def test_check_raises_on_self_loop():
+    s = bg.new_complete(3)
+    s.adjacency[0][0] = 0  # degrees and the edge count still add up
+    with pytest.raises(bg.VerificationError, match="self-loop"):
+        s.check()
+
+
+def test_check_survives_optimized_mode():
+    # python -O strips assert statements; the invariant checks must remain
+    code = (
+        "import bagrowth as bg\n"
+        "s = bg.new_complete(3)\n"
+        "s.adjacency[0][0] = 0\n"
+        "try:\n"
+        "    s.check()\n"
+        "except bg.VerificationError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.startswith("raised") and "self-loop" in out.stdout
+
+
+def test_step_holme_kim_rejects_small_neighbourhood():
+    s = star_graph(3)  # the leaves have one neighbour each, m-1 = 2 are needed
+    rng = np.random.default_rng(0)  # its first draw lands on a leaf
+    with pytest.raises(bg.ConfigurationError, match="fewer than m-1"):
+        bg.step_holme_kim(s, 3, rng)
 
 
 def test_generate_t0_is_clique():

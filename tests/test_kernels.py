@@ -19,6 +19,18 @@ def test_grow_jit_matches_plain(sequential, m0, m, t):
     assert np.array_equal(d1, d2)
 
 
+@pytest.mark.parametrize("seed", [123, 7, 2024])
+@pytest.mark.parametrize("m0,t", [(2, 0), (2, 1), (2, 5000), (3, 5000), (5, 2000)])
+def test_grow_m1_pointer_jumping_matches_loop(m0, t, seed):
+    # holme-kim at m=1 resolves every target without the step loop
+    uniforms = np.random.default_rng(seed).random((t, 1))
+    e1, d1 = _kernels.grow(m0, 1, t, uniforms, False)
+    e2, d2 = _kernels._grow_impl(m0, 1, t, uniforms, False)
+    assert e1.dtype == e2.dtype and d1.dtype == d2.dtype
+    assert np.array_equal(e1, e2)
+    assert np.array_equal(d1, d2)
+
+
 @pytest.mark.parametrize("m,m0,t", [(1, 3, 300), (2, 5, 300), (3, 3, 150)])
 def test_mixture_roll_paths_identical(m, m0, t):
     d = m0 * (m0 - 1) / m
