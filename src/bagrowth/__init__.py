@@ -31,8 +31,6 @@ from .graph import (
     degree_histogram,
     generate,
     new_complete,
-    step_holme_kim,
-    step_sequential,
 )
 from .limits import (
     CesaroDiagnostic,
@@ -54,8 +52,7 @@ __all__ = [
     "run_replicates",
     "ConfigurationError", "EnumerationBoundError", "VerificationError",
     "GraphState", "RunConfig", "attachment_probability_exact",
-    "degree_histogram", "generate", "new_complete", "step_holme_kim",
-    "step_sequential",
+    "degree_histogram", "generate", "new_complete",
     "CesaroDiagnostic", "cesaro_ratios", "limit_recursion", "steady_state",
     "steady_state_exact", "steady_state_partial_sum", "tail_exponent",
 ]

@@ -1,42 +1,23 @@
 """Hot inner loops: graph growth and the degree-law forward roll.
 
-Kernels are numba-compiled when numba imports cleanly. Setting the
-environment variable ``BAGROWTH_DISABLE_NUMBA=1`` forces the pure
-NumPy/Python path instead. Both paths consume the same pre-drawn
-uniform variates and are arithmetically identical, so a fixed seed
-gives the same graph (and the same distribution roll) on either path.
-Holme-kim growth at m=1 takes neither: ``grow`` resolves it in NumPy
-without a step loop, with the same result as the loop.
+Growth consumes pre-drawn uniform variates, m per step, so a fixed seed
+gives a fixed graph. Holme-kim growth at m=1 resolves every target at
+once by pointer jumping over the endpoint list; every other case runs
+the NumPy/Python step loop ``_grow_impl``. Both give the same graph for
+the same uniforms.
 """
-
-import os
 
 import numpy as np
 
-
-def _env_disabled() -> bool:
-    return os.environ.get("BAGROWTH_DISABLE_NUMBA", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
-NUMBA_ENABLED = False
-if not _env_disabled():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # numba is an optional extra
-        pass
+NUMBA_ENABLED = False  # no JIT path exists; perfbench/job.py still records this flag
 
 
 def _grow_impl(m0, m, t, uniforms, sequential):
     """Grow a graph from K_{m0} for t steps.
 
-    uniforms has shape (t, m); each step consumes exactly m variates, so
-    the jitted and plain paths stay in lockstep. Vertices are internal
-    indices 0..m0+t-1 (0..m0-1 initial). Returns (edges, degree) with
-    edges in insertion order.
+    uniforms has shape (t, m); each step consumes exactly m variates.
+    Vertices are internal indices 0..m0+t-1 (0..m0-1 initial). Returns
+    (edges, degree) with edges in insertion order.
     """
     n_total = m0 + t
     e_init = m0 * (m0 - 1) // 2
@@ -45,7 +26,7 @@ def _grow_impl(m0, m, t, uniforms, sequential):
     degree = np.zeros(n_total, np.int64)
     # One slot per edge endpoint: uniform index = degree-proportional vertex.
     endpoints = np.empty(2 * e_total, np.int64)
-    # Half-edge adjacency as linked lists (numba-friendly, O(1) append).
+    # Half-edge adjacency as linked lists (O(1) append).
     half_target = np.empty(2 * e_total, np.int64)
     half_next = np.empty(2 * e_total, np.int64)
     head = np.full(n_total, -1, np.int64)
@@ -142,30 +123,12 @@ def _grow_impl(m0, m, t, uniforms, sequential):
     return edges, degree
 
 
-def _mixture_roll_loops(m, m0, d, t):
+def mixture_roll(m, m0, d, t):
     """Roll the vertex-summed degree-law recursion forward to time t.
 
     Returns (s_new, s_init): sums of per-vertex laws over the t new
     vertices and the m0 initial vertices. Network law = (s_new+s_init)/(t+m0).
     """
-    kcap = max(m, m0 - 1) + t
-    s_new = np.zeros(kcap + 1, np.float64)
-    s_init = np.zeros(kcap + 1, np.float64)
-    s_init[m0 - 1] = float(m0)
-    for step in range(t):
-        den = 2.0 * step + d
-        top = min(max(m, m0 - 1) + step + 1, kcap)
-        for k in range(top, 0, -1):
-            up_prev = (k - 1) / den
-            stay = 1.0 - k / den
-            s_new[k] = s_new[k] * stay + s_new[k - 1] * up_prev
-            s_init[k] = s_init[k] * stay + s_init[k - 1] * up_prev
-        s_new[m] += 1.0
-    return s_new, s_init
-
-
-def _mixture_roll_numpy(m, m0, d, t):
-    """Vectorized twin of _mixture_roll_loops (same arithmetic per entry)."""
     kcap = max(m, m0 - 1) + t
     ks = np.arange(kcap + 1, dtype=np.float64)
     s_new = np.zeros(kcap + 1)
@@ -214,16 +177,8 @@ def _grow_holme_kim_m1(m0, t, u):
     return edges, degree
 
 
-if NUMBA_ENABLED:
-    _grow_loop = _njit(cache=True)(_grow_impl)
-    mixture_roll = _njit(cache=True)(_mixture_roll_loops)
-else:
-    _grow_loop = _grow_impl
-    mixture_roll = _mixture_roll_numpy
-
-
 def grow(m0, m, t, uniforms, sequential):
     """Grow a graph as _grow_impl does; holme-kim at m=1 skips the step loop."""
     if m == 1 and not sequential:
         return _grow_holme_kim_m1(m0, t, uniforms[:, 0])
-    return _grow_loop(m0, m, t, uniforms, sequential)
+    return _grow_impl(m0, m, t, uniforms, sequential)

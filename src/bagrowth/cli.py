@@ -89,17 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _validate_common(args):
-    if args.m0 < 2:
-        raise ConfigurationError("--m0 must be >= 2")
-    if not 1 <= args.m <= args.m0:
-        raise ConfigurationError("--m must satisfy 1 <= m <= m0 (--m0)")
-    if args.t < 0:
-        raise ConfigurationError("--t must be >= 0")
-
-
 def cmd_generate(args) -> int:
-    _validate_common(args)
     config = RunConfig(m0=args.m0, m=args.m, t=args.t, scheme=args.scheme,
                        seed=args.seed)
     state = generate(config)
@@ -112,7 +102,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    _validate_common(args)
     if args.t < 1:
         raise ConfigurationError("--t must be >= 1 for the exact law")
     params = ChainParams(m=args.m, m0=args.m0)
@@ -151,11 +140,8 @@ def cmd_steady(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _validate_common(args)
     if args.t < 1:
         raise ConfigurationError("--t must be >= 1 for comparison")
-    if args.replicates < 1:
-        raise ConfigurationError("--replicates must be >= 1")
     config = RunConfig(m0=args.m0, m=args.m, t=args.t, scheme=args.scheme,
                        seed=args.seed, replicates=args.replicates)
     params = ChainParams(m=args.m, m0=args.m0)

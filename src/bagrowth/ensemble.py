@@ -27,7 +27,7 @@ def _replicate_counts(args):
     config, child = args
     rng = np.random.default_rng(child)
     uniforms = rng.random((config.t, config.m))
-    # only degrees are pooled, so no GraphState (adjacency lists) is built
+    # only degrees are pooled, so no GraphState is built
     _, degree = graph.grow(config.m0, config.m, config.t, uniforms,
                            config.scheme == SEQUENTIAL)
     return np.bincount(degree)

@@ -33,13 +33,12 @@ DEFAULT_ENUM_BOUND = 12
 class GraphState:
     """A growing simple undirected graph.
 
-    adjacency/degree/edges use internal indices 0..n-1; index i maps to
-    label i-m0 for i < m0 (initial vertices) and i-m0+1 otherwise.
+    degree/edges use internal indices 0..n-1; index i maps to label
+    i-m0 for i < m0 (initial vertices) and i-m0+1 otherwise.
     """
 
     num_initial: int
     step_count: int
-    adjacency: list = field(repr=False)
     degree: np.ndarray = field(repr=False)
     edges: np.ndarray = field(repr=False)  # (E, 2) in insertion order
 
@@ -63,24 +62,25 @@ class GraphState:
         return out
 
     def check(self) -> None:
-        """Check structural invariants (simplicity, symmetry, degree sums).
+        """Check structural invariants: simplicity and degrees that match edges.
 
-        Raises VerificationError on the first violation found.
+        Symmetry holds by construction (each edge is stored once). Raises
+        VerificationError on the first violation found.
         """
-        if self.total_degree != 2 * len(self.edges):
-            raise VerificationError(
-                f"degree sum {self.total_degree} != 2 * {len(self.edges)} edges")
-        for i, nbrs in enumerate(self.adjacency):
-            if len(nbrs) != self.degree[i]:
-                raise VerificationError(f"vertex {i}: degree {self.degree[i]} "
-                                        f"but {len(nbrs)} neighbours")
-            if i in nbrs:
-                raise VerificationError(f"vertex {i}: self-loop")
-            if len(set(nbrs)) != len(nbrs):
-                raise VerificationError(f"vertex {i}: parallel edge")
-            for j in nbrs:
-                if i not in self.adjacency[j]:
-                    raise VerificationError(f"edge {i}-{j}: asymmetric adjacency")
+        n = self.num_vertices
+        edges = self.edges
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise VerificationError(f"edge endpoint outside [0, {n})")
+        loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
+        if loops.size:
+            raise VerificationError(f"vertex {edges[loops[0], 0]}: self-loop")
+        pairs = np.sort(edges, axis=1)
+        if len(np.unique(pairs, axis=0)) != len(pairs):
+            raise VerificationError("parallel edge")
+        # equal degrees also give the handshake identity sum(degree) == 2|E|
+        counted = np.bincount(edges.reshape(-1), minlength=n)
+        if not np.array_equal(counted, self.degree):
+            raise VerificationError("degree does not count the edge endpoints")
 
 
 @dataclass(frozen=True)
@@ -110,98 +110,22 @@ class RunConfig:
 
 
 def new_complete(m0: int) -> GraphState:
-    """The initial complete graph K_{m0} (labels -m0..-1)."""
-    if m0 < 2:
-        raise ConfigurationError("m0 must be >= 2")
-    adjacency = [[j for j in range(m0) if j != i] for i in range(m0)]
-    degree = np.full(m0, m0 - 1, dtype=np.int64)
-    edges = np.array([(i, j) for i in range(m0) for j in range(i + 1, m0)],
-                     dtype=np.int64).reshape(-1, 2)
-    return GraphState(num_initial=m0, step_count=0, adjacency=adjacency,
-                      degree=degree, edges=edges)
-
-
-def _append_vertex(state: GraphState, targets: list) -> GraphState:
-    new = state.num_vertices
-    state.adjacency.append(list(targets))
-    state.degree = np.append(state.degree, len(targets))
-    for tgt in targets:
-        state.adjacency[tgt].append(new)
-        state.degree[tgt] += 1
-    new_edges = np.array([(new, tgt) for tgt in targets], dtype=np.int64)
-    state.edges = np.vstack([state.edges, new_edges])
-    state.step_count += 1
-    return state
-
-
-def step_holme_kim(state: GraphState, m: int, rng: np.random.Generator) -> GraphState:
-    """Advance one step: first edge preferential, m-1 to neighbors of it.
-
-    Degrees are those at step start; all m endpoints are distinct by
-    construction (the first endpoint is not its own neighbor).
-    """
-    if state.num_initial < m:
-        raise ConfigurationError("holme-kim scheme requires m0 >= m")
-    tdeg = state.total_degree
-    # inverse-transform over cumulative degrees
-    u = rng.random() * tdeg
-    cum = np.cumsum(state.degree)
-    first = int(np.searchsorted(cum, u, side="right"))
-    nbrs = list(state.adjacency[first])
-    if len(nbrs) < m - 1:
-        raise ConfigurationError(
-            f"vertex {first} has {len(nbrs)} neighbours, fewer than m-1 = {m - 1}")
-    # partial Fisher-Yates for m-1 distinct neighbors
-    for j in range(m - 1):
-        r = j + int(rng.random() * (len(nbrs) - j))
-        r = min(r, len(nbrs) - 1)
-        nbrs[j], nbrs[r] = nbrs[r], nbrs[j]
-    return _append_vertex(state, [first] + nbrs[: m - 1])
-
-
-def step_sequential(state: GraphState, m: int, rng: np.random.Generator) -> GraphState:
-    """Advance one step with the naive baseline scheme.
-
-    m endpoints drawn one at a time proportionally to degrees frozen at
-    step start, renormalized over not-yet-chosen vertices.
-    """
-    if m > state.num_vertices:
-        raise ConfigurationError("sequential scheme needs at least m existing vertices")
-    w = state.degree.astype(np.float64).copy()
-    targets = []
-    for _ in range(m):
-        tot = w.sum()
-        u = rng.random() * tot
-        cum = np.cumsum(w)
-        pick = int(np.searchsorted(cum, u, side="right"))
-        pick = min(pick, len(w) - 1)
-        targets.append(pick)
-        w[pick] = 0.0
-    return _append_vertex(state, targets)
+    """The initial complete graph K_{m0} (labels -m0..-1): growth at t=0."""
+    return generate(RunConfig(m0=m0, m=1, t=0))
 
 
 def generate(config: RunConfig) -> GraphState:
     """Grow a graph from K_{m0} for t steps; pure function of (config, seed).
 
     Uniform variates come from PCG64 seeded by SeedSequence(config.seed),
-    exactly m per step, so results are reproducible across platforms and
-    identical on the jitted and plain kernel paths.
+    exactly m per step, so results are reproducible across platforms.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     uniforms = rng.random((config.t, config.m))
-    return generate_from_uniforms(config, uniforms)
-
-
-def generate_from_uniforms(config: RunConfig, uniforms: np.ndarray) -> GraphState:
     edges, degree = grow(config.m0, config.m, config.t, uniforms,
                          config.scheme == SEQUENTIAL)
-    n = config.m0 + config.t
-    adjacency = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(int(v))
-        adjacency[v].append(int(u))
     return GraphState(num_initial=config.m0, step_count=config.t,
-                      adjacency=adjacency, degree=degree, edges=edges)
+                      degree=degree, edges=edges)
 
 
 def degree_histogram(state: GraphState) -> dict:
@@ -226,6 +150,10 @@ def attachment_probability_exact(state: GraphState, m: int,
             f"state has {n} vertices, enumeration bound is {enum_bound}")
     if m - 1 > int(state.degree.min()):
         raise ConfigurationError("scheme requires every neighborhood to offer m-1 candidates")
+    neighbours = [[] for _ in range(n)]
+    for u, v in state.edges.tolist():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     total = state.total_degree
     recv = [Fraction(0) for _ in range(n)]
     for first in range(n):
@@ -234,7 +162,7 @@ def attachment_probability_exact(state: GraphState, m: int,
             continue
         w_first = Fraction(k_l, total)
         n_subsets = comb(k_l, m - 1)
-        for subset in combinations(state.adjacency[first], m - 1):
+        for subset in combinations(neighbours[first], m - 1):
             w = w_first / n_subsets
             recv[first] += w
             for v in subset:
@@ -245,25 +173,19 @@ def attachment_probability_exact(state: GraphState, m: int,
 def star_graph(leaves: int) -> GraphState:
     """A star: one center (index 0) joined to `leaves` degree-1 vertices."""
     n = leaves + 1
-    adjacency = [list(range(1, n))] + [[0] for _ in range(leaves)]
     degree = np.array([leaves] + [1] * leaves, dtype=np.int64)
     edges = np.array([(0, j) for j in range(1, n)], dtype=np.int64)
-    return GraphState(num_initial=n, step_count=0, adjacency=adjacency,
-                      degree=degree, edges=edges)
+    return GraphState(num_initial=n, step_count=0, degree=degree, edges=edges)
 
 
 def proposition_states() -> list:
     """Small states used to check the exact receive-probability identity."""
-    rng = np.random.default_rng(12345)
-    evolved = new_complete(4)
-    step_holme_kim(evolved, 2, rng)
-    step_holme_kim(evolved, 2, rng)
     return [
         ("K_3", new_complete(3)),
         ("K_4", new_complete(4)),
         ("K_5", new_complete(5)),
         ("S_4", star_graph(4)),
-        ("K_4+2steps", evolved),
+        ("K_4+2steps", generate(RunConfig(m0=4, m=2, t=2, seed=12345))),
     ]
 
 

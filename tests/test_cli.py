@@ -67,6 +67,13 @@ def test_exact_rejects_t0(tmp_path, capsys):
     assert "--t" in capsys.readouterr().err
 
 
+def test_exact_rejects_m_above_m0(tmp_path, capsys):
+    code = run(["exact", "--m0", "3", "--m", "4", "--t", "10",
+                "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "m0 >= m" in capsys.readouterr().err
+
+
 def test_exact_json(tmp_path):
     out = tmp_path / "exact.json"
     assert run(["exact", "--m", "2", "--m0", "5", "--t", "100", "--format",
@@ -100,6 +107,13 @@ def test_compare(tmp_path, capsys):
     assert set(report) >= {"chi2", "dof", "threshold", "pass", "exponent", "max_gap"}
     stats = (tmp_path / "cmp.stats.csv").read_text().strip().split("\n")
     assert stats[1] == "k,count,freq,se,p_exact,p_limit"
+
+
+def test_compare_rejects_zero_replicates(tmp_path, capsys):
+    code = run(["compare", "--m0", "3", "--m", "1", "--t", "10", "--seed", "1",
+                "--replicates", "0", "--out", str(tmp_path / "cmp")])
+    assert code == 1
+    assert "replicates" in capsys.readouterr().err
 
 
 def test_compare_rolls_exact_law_once(tmp_path, monkeypatch):

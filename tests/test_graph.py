@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bagrowth as bg
+from bagrowth._kernels import grow
 from bagrowth.graph import star_graph, proposition_states
 
 
@@ -30,51 +31,50 @@ def test_new_complete_rejects_small():
 
 
 def test_labels_skip_zero():
-    s = bg.new_complete(3)
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        bg.step_holme_kim(s, 1, rng)
+    s = bg.generate(bg.RunConfig(m0=3, m=1, t=3, seed=0))
     assert list(s.labels()) == [-3, -2, -1, 1, 2, 3]
 
 
 def test_step_holme_kim_adds_m_edges():
-    rng = np.random.default_rng(7)
-    s = bg.new_complete(4)
-    before = s.total_degree
-    bg.step_holme_kim(s, 3, rng)
+    before = bg.new_complete(4).total_degree
+    s = bg.generate(bg.RunConfig(m0=4, m=3, t=1, seed=7))
     assert s.degree[-1] == 3
     assert s.total_degree == before + 6
     s.check()
 
 
 def test_step_holme_kim_endpoints_distinct():
-    rng = np.random.default_rng(11)
-    s = bg.new_complete(4)
-    for _ in range(30):
-        bg.step_holme_kim(s, 3, rng)
+    s = bg.generate(bg.RunConfig(m0=4, m=3, t=30, seed=11))
     s.check()  # simplicity implies per-step distinctness
 
 
 def test_step_sequential_exhausts_on_clique():
-    rng = np.random.default_rng(0)
-    s = bg.new_complete(4)
-    bg.step_sequential(s, 4, rng)
-    assert sorted(s.adjacency[4]) == [0, 1, 2, 3]
+    s = bg.generate(bg.RunConfig(m0=4, m=4, t=1, scheme="sequential", seed=0))
+    assert sorted(s.edges[s.edges[:, 0] == 4, 1]) == [0, 1, 2, 3]
 
 
 def test_step_sequential_total_degree():
-    rng = np.random.default_rng(3)
-    s = bg.new_complete(5)
-    for _ in range(20):
-        bg.step_sequential(s, 2, rng)
+    s = bg.generate(bg.RunConfig(m0=5, m=2, t=20, scheme="sequential", seed=3))
     assert s.total_degree == 20 + 2 * 2 * 20
     s.check()
 
 
 def test_check_raises_on_self_loop():
     s = bg.new_complete(3)
-    s.adjacency[0][0] = 0  # degrees and the edge count still add up
+    s.edges[0] = (0, 0)  # the edge count still adds up
     with pytest.raises(bg.VerificationError, match="self-loop"):
+        s.check()
+    s = bg.new_complete(3)
+    s.edges[0] = (2, 0)  # reverses (0, 2)
+    with pytest.raises(bg.VerificationError, match="parallel edge"):
+        s.check()
+    s = bg.new_complete(3)
+    s.degree[0] += 1
+    with pytest.raises(bg.VerificationError, match="degree"):
+        s.check()
+    s = bg.new_complete(3)
+    s.edges[0] = (0, 3)
+    with pytest.raises(bg.VerificationError, match="outside"):
         s.check()
 
 
@@ -83,7 +83,7 @@ def test_check_survives_optimized_mode():
     code = (
         "import bagrowth as bg\n"
         "s = bg.new_complete(3)\n"
-        "s.adjacency[0][0] = 0\n"
+        "s.edges[0] = (0, 0)\n"
         "try:\n"
         "    s.check()\n"
         "except bg.VerificationError as exc:\n"
@@ -92,13 +92,6 @@ def test_check_survives_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.startswith("raised") and "self-loop" in out.stdout
-
-
-def test_step_holme_kim_rejects_small_neighbourhood():
-    s = star_graph(3)  # the leaves have one neighbour each, m-1 = 2 are needed
-    rng = np.random.default_rng(0)  # its first draw lands on a leaf
-    with pytest.raises(bg.ConfigurationError, match="fewer than m-1"):
-        bg.step_holme_kim(s, 3, rng)
 
 
 def test_generate_t0_is_clique():
@@ -139,9 +132,7 @@ def test_degree_histogram_k3():
 
 
 def test_degree_histogram_after_one_step():
-    rng = np.random.default_rng(1)
-    s = bg.new_complete(3)
-    bg.step_holme_kim(s, 1, rng)
+    s = bg.generate(bg.RunConfig(m0=3, m=1, t=1, seed=1))
     assert bg.degree_histogram(s) == {1: 1, 2: 2, 3: 1}
 
 
@@ -159,10 +150,7 @@ def test_enumeration_k3_m2():
 
 
 def test_enumeration_m1_is_plain_preferential():
-    rng = np.random.default_rng(2)
-    s = bg.new_complete(4)
-    for _ in range(4):
-        bg.step_holme_kim(s, 2, rng)
+    s = bg.generate(bg.RunConfig(m0=4, m=2, t=4, seed=2))
     recv = bg.attachment_probability_exact(s, 1)
     total = s.total_degree
     assert recv == [Fraction(int(k), total) for k in s.degree]
@@ -184,11 +172,8 @@ def test_enumeration_bound():
 @given(seed=st.integers(0, 10_000), m0=st.integers(3, 5), steps=st.integers(0, 5))
 def test_proposition_on_random_states(seed, m0, steps):
     # one-step receive probability is exactly m * k_i / total, any reachable state
-    rng = np.random.default_rng(seed)
-    s = bg.new_complete(m0)
-    m = int(rng.integers(1, m0 + 1))
-    for _ in range(steps):
-        bg.step_holme_kim(s, m, rng)
+    m = int(np.random.default_rng(seed).integers(1, m0 + 1))
+    s = bg.generate(bg.RunConfig(m0=m0, m=m, t=steps, seed=seed))
     recv = bg.attachment_probability_exact(s, m)
     total = s.total_degree
     assert recv == [Fraction(m * int(k), total) for k in s.degree]
@@ -207,13 +192,11 @@ def test_schemes_agree_in_law_at_m1():
     # with m = 1 both schemes attach purely preferentially
     trials = 4000
     counts = {"holme-kim": np.zeros(3), "sequential": np.zeros(3)}
-    step = {"holme-kim": bg.step_holme_kim, "sequential": bg.step_sequential}
     for scheme in counts:
         rng = np.random.default_rng(77)
         for _ in range(trials):
-            s = bg.new_complete(3)
-            step[scheme](s, 1, rng)
-            counts[scheme][s.adjacency[3][0]] += 1
+            edges, _ = grow(3, 1, 1, rng.random((1, 1)), scheme == "sequential")
+            counts[scheme][edges[-1, 1]] += 1
     for scheme, c in counts.items():
         np.testing.assert_allclose(c / trials, [1 / 3] * 3, atol=0.03)
 
@@ -223,9 +206,8 @@ def test_sequential_k3_pairs_uniform():
     rng = np.random.default_rng(5)
     seen = {}
     for _ in range(3000):
-        s = bg.new_complete(3)
-        bg.step_sequential(s, 2, rng)
-        pair = tuple(sorted(s.adjacency[3]))
+        edges, _ = grow(3, 2, 1, rng.random((1, 2)), True)
+        pair = tuple(sorted(edges[-2:, 1]))
         seen[pair] = seen.get(pair, 0) + 1
     freqs = np.array(sorted(seen.values())) / 3000
     assert len(seen) == 3

@@ -1,6 +1,5 @@
-import os
-import subprocess
-import sys
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -31,33 +30,27 @@ def test_grow_m1_pointer_jumping_matches_loop(m0, t, seed):
     assert np.array_equal(d1, d2)
 
 
-@pytest.mark.parametrize("m,m0,t", [(1, 3, 300), (2, 5, 300), (3, 3, 150)])
-def test_mixture_roll_paths_identical(m, m0, t):
-    d = m0 * (m0 - 1) / m
-    a_new, a_init = _kernels._mixture_roll_loops(m, m0, d, t)
-    b_new, b_init = _kernels._mixture_roll_numpy(m, m0, d, t)
-    assert np.array_equal(a_new, b_new)
-    assert np.array_equal(a_init, b_init)
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, BAGROWTH_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from bagrowth._kernels import NUMBA_ENABLED; print(NUMBA_ENABLED)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_fallback_path_generates_same_graph():
-    env = dict(os.environ, BAGROWTH_DISABLE_NUMBA="1")
-    code = (
-        "import numpy as np, bagrowth as bg;"
-        "g = bg.generate(bg.RunConfig(m0=3, m=2, t=100, seed=17));"
-        "print(int(g.edges.sum()), int(g.degree.max()))"
-    )
-    out_plain = subprocess.run([sys.executable, "-c", code], env=env,
-                               capture_output=True, text=True, check=True)
-    out_jit = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, check=True)
-    assert out_plain.stdout == out_jit.stdout
+@pytest.mark.parametrize("prefix", [0, 1, 3])
+@pytest.mark.parametrize("m0,m", [(m0, m) for m0 in (3, 4) for m in range(1, m0 + 1)])
+def test_grow_one_step_law_is_proportional(m0, m, prefix):
+    # enumerate grow's own map from the next step's uniforms to its targets:
+    # each uniform is read as an index int(u * cells), so feeding every cell
+    # midpoint with weight 1/cells gives the exact law of that step
+    head = np.random.default_rng(prefix).random((prefix, m))
+    edges, degree = _kernels.grow(m0, m, prefix, head, False)
+    slots = edges.reshape(-1)  # slot p of the endpoint list
+    tdeg = len(slots)
+    recv = [Fraction(0)] * len(degree)
+    for c in range(tdeg):
+        cnt = int(degree[slots[c]])  # neighbours of the first endpoint
+        sizes = [cnt - j for j in range(m - 1)]
+        weight = Fraction(1, tdeg * int(np.prod(sizes)))
+        for picks in product(*map(range, sizes)):
+            row = [(c + 0.5) / tdeg] + [(i + 0.5) / n for i, n in zip(picks, sizes)]
+            u = np.vstack([head, [row]])
+            grown, _ = _kernels.grow(m0, m, prefix + 1, u, False)
+            targets = grown[-m:, 1]
+            assert len(set(targets.tolist())) == m
+            for v in targets:
+                recv[v] += weight
+    assert recv == [Fraction(m * int(k), tdeg) for k in degree]
