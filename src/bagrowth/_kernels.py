@@ -10,6 +10,7 @@ the same uniforms.
 import numpy as np
 
 NUMBA_ENABLED = False  # no JIT path exists; perfbench/job.py still records this flag
+DBL_MIN = np.finfo(np.float64).tiny  # smallest normal double, 2.2e-308
 
 
 def _grow_impl(m0, m, t, uniforms, sequential):
@@ -123,28 +124,76 @@ def _grow_impl(m0, m, t, uniforms, sequential):
     return edges, degree
 
 
+def roll_step(seg, ks, den, up, stay, flux):
+    """One step of the degree chain, in place on the rows of seg.
+
+    seg is a (rows, w) window of laws over the degrees ks (length w);
+    mass at k moves to k+1 with probability k/den. up, stay (length w)
+    and flux ((rows, w-1)) are scratch buffers. Each cell gets
+    seg[k]*stay[k] + seg[k-1]*up[k-1], the same operations in the same
+    order as a freshly allocated ``nxt = seg*stay; nxt[1:] += ...``, so
+    the bits match that form. The first cell receives no flux from
+    below, so no mass may sit below the window, and the last cell must
+    lie past the top cell holding mass, to receive its flux.
+    """
+    np.divide(ks, den, out=up)
+    np.subtract(1.0, up, out=stay)
+    np.multiply(seg[:, :-1], up[:-1], out=flux)
+    np.multiply(seg, stay, out=seg)
+    np.add(seg[:, 1:], flux, out=seg[:, 1:])
+
+
+def flush_top(rows, top):
+    """Lower the window top past cells below DBL_MIN in every row of rows.
+
+    rows is a sequence of 1-D laws. The flushed cells are set to exact 0
+    and the new top is returned. Mass only moves up, so a flushed cell
+    changes no cell below it, while subnormal cells would slow every
+    later step's arithmetic several times over.
+    """
+    while top > 0:
+        for row in rows:
+            if row[top] >= DBL_MIN:
+                return top
+        for row in rows:
+            row[top] = 0.0
+        top -= 1
+    return top
+
+
 def mixture_roll(m, m0, d, t):
     """Roll the vertex-summed degree-law recursion forward to time t.
 
     Returns (s_new, s_init): sums of per-vertex laws over the t new
     vertices and the m0 initial vertices. Network law = (s_new+s_init)/(t+m0).
+
+    Both sums roll as one (2, kcap+1) array, stepped in place over
+    [0, top+1], where top is the last degree at which either sum holds a
+    normal double (>= DBL_MIN, 2.2e-308); the window grows by at most
+    one cell per step. Mass that falls below DBL_MIN at the top is set
+    to exact 0, where gradual underflow would send it a few hundred
+    steps later anyway. Against the full-width roll, every cell holding
+    >= 1e-280 keeps its bits and the L1 gap stays below t*DBL_MIN (both
+    tested). Cost is O(t * top) with no subnormal arithmetic; top is
+    about 4600 at t=1e4 and 11100 at t=5e4 (m=1, m0=3), against
+    kcap = max(m, m0-1) + t.
     """
     kcap = max(m, m0 - 1) + t
     ks = np.arange(kcap + 1, dtype=np.float64)
-    s_new = np.zeros(kcap + 1)
-    s_init = np.zeros(kcap + 1)
+    sums = np.zeros((2, kcap + 1))
+    s_new, s_init = sums
     s_init[m0 - 1] = float(m0)
+    up = np.empty(kcap + 1)
+    stay = np.empty(kcap + 1)
+    flux = np.empty((2, kcap))
+    rows = (s_new, s_init)
+    top = max(m, m0 - 1)
     for step in range(t):
-        den = 2.0 * step + d
-        hi = min(max(m, m0 - 1) + step + 2, kcap + 1)
-        up = ks[:hi] / den
-        stay = 1.0 - up
-        for arr in (s_new, s_init):
-            seg = arr[:hi]
-            nxt = seg * stay
-            nxt[1:] += seg[:-1] * up[:-1]
-            arr[:hi] = nxt
+        hi = top + 2
+        roll_step(sums[:, :hi], ks[:hi], 2.0 * step + d, up[:hi], stay[:hi],
+                  flux[:, :hi - 1])
         s_new[m] += 1.0
+        top = flush_top(rows, hi - 1)
     return s_new, s_init
 
 

@@ -17,8 +17,8 @@ from math import exp
 
 import numpy as np
 
-from ._kernels import mixture_roll
-from .errors import ConfigurationError
+from ._kernels import flush_top, mixture_roll, roll_step
+from .errors import ConfigurationError, VerificationError
 
 ROW_TOL = 1e-12
 
@@ -100,9 +100,14 @@ def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
     """Exact law of vertex i's degree, rolled forward to t_max.
 
     New vertices start as a point mass at degree m at time t = i; initial
-    vertices start at degree m0-1 at time 0. Support stays structurally
-    inside [start_degree, start_degree + t - start_time]: entries outside
-    are exact zeros, never rounded ones.
+    vertices start at degree m0-1 at time 0. Each step rolls only the
+    window [start_degree, top+1], where top is the last degree holding a
+    normal double; mass below DBL_MIN (2.2e-308) at the top is set to
+    exact 0, as in ``_kernels.mixture_roll``. Every cell that the
+    full-width roll holds at >= 1e-280 keeps its bits. Outside
+    [start_degree, top] the table holds exact zeros, so support stays
+    structurally inside [start_degree, start_degree + t - start_time].
+    Cost is O(steps * top); the table is still (steps, kmax+1) floats.
     """
     start, deg0 = _start_of(i, params)
     if t_max < start:
@@ -112,14 +117,18 @@ def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
     table = np.zeros((steps, kmax + 1))
     table[0, deg0] = 1.0
     ks = np.arange(kmax + 1, dtype=np.float64)
-    row = table[0].copy()
+    row = table[:1].copy()
+    rows = tuple(row)
+    up = np.empty(kmax + 1)
+    stay = np.empty(kmax + 1)
+    flux = np.empty((1, kmax))
+    top = deg0
     for idx, t in enumerate(range(start, t_max)):
-        den = 2.0 * t + params.d
-        up = ks / den
-        nxt = row * (1.0 - up)
-        nxt[1:] += row[:-1] * up[:-1]
-        table[idx + 1] = nxt
-        row = nxt
+        hi = top + 2
+        roll_step(row[:, deg0:hi], ks[deg0:hi], 2.0 * t + params.d,
+                  up[deg0:hi], stay[deg0:hi], flux[:, deg0:hi - 1])
+        top = flush_top(rows, hi - 1)
+        table[idx + 1, deg0:top + 1] = row[0, deg0:top + 1]
     return DegreeLaw(vertex=i, start_time=start, start_degree=deg0, table=table)
 
 
@@ -237,8 +246,13 @@ def network_distribution(t: int, params: ChainParams,
     Rolls the vertex-summed master recursion forward once: because the
     transition at time j is the same for every vertex, the sums of laws
     over new and initial vertices satisfy the same two-term recursion
-    with a unit injection at degree m each step. Cost O(t * k_support)
-    total instead of one roll per vertex.
+    with a unit injection at degree m each step. Cost O(t * top) total
+    instead of one roll per vertex, where top is the last degree holding
+    a normal double; mass below DBL_MIN (2.2e-308) there is set to exact
+    0 (see ``_kernels.mixture_roll``), so no step runs on subnormals.
+
+    Raises VerificationError if the law does not sum to 1, or its mean
+    degree differs from (N0 + 2mt)/(t + m0), by more than ROW_TOL.
     """
     if t < 1:
         raise ConfigurationError("t must be >= 1")
@@ -260,9 +274,17 @@ def network_distribution(t: int, params: ChainParams,
         ks = np.arange(params.m, k_max + 1)
         window = np.concatenate([window, np.zeros(pad)])
         pbar = np.concatenate([pbar, np.zeros(pad)])
-    return MixtureDistribution(time=t, params=params, k=ks, probs=window,
+    dist = MixtureDistribution(time=t, params=params, k=ks, probs=window,
                                tail=tail, pbar=pbar, k_full=k_full,
                                probs_full=probs_full)
+    total = float(probs_full.sum())
+    if abs(total - 1.0) > ROW_TOL:
+        raise VerificationError(f"network law at t={t} sums to {total!r}, not 1")
+    want_mean = (params.n0 + 2 * params.m * t) / (t + params.m0)
+    if abs(dist.mean_degree - want_mean) > ROW_TOL:
+        raise VerificationError(f"network law at t={t} has mean degree "
+                                f"{dist.mean_degree!r}, not {want_mean!r}")
+    return dist
 
 
 def network_distribution_naive(t: int, params: ChainParams) -> np.ndarray:

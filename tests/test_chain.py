@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bagrowth as bg
+from bagrowth._kernels import DBL_MIN
 
 P1 = bg.ChainParams(m=1, m0=3)   # d = 6
 P2 = bg.ChainParams(m=2, m0=5)   # N0 = 20, d = 10
@@ -71,6 +72,46 @@ def test_support_zeros_are_structural():
         hi = P2.m + (t - 4)
         assert np.all(row[hi + 1:] == 0.0)
         assert row[P2.m] > 0.0
+    # above each row's window top (its last normal cell) every cell is
+    # exactly 0; vertex 1 of P1 starts flushing subnormal mass near t=1000
+    for law in (law, bg.evolve_vertex(1, 1200, P1)):
+        for row in law.table:
+            top = np.nonzero(row >= DBL_MIN)[0][-1]
+            assert not row[top + 1:].any()
+
+
+def _evolve_full_width(i, t_max, params):
+    """Reference: the full-width loop roll of one vertex's law."""
+    start, deg0 = (i, params.m) if i >= 1 else (0, params.m0 - 1)
+    kmax = deg0 + (t_max - start)
+    table = np.zeros((t_max - start + 1, kmax + 1))
+    table[0, deg0] = 1.0
+    ks = np.arange(kmax + 1, dtype=np.float64)
+    row = table[0].copy()
+    for idx, t in enumerate(range(start, t_max)):
+        up = ks / (2.0 * t + params.d)
+        nxt = row * (1.0 - up)
+        nxt[1:] += row[:-1] * up[:-1]
+        table[idx + 1] = nxt
+        row = nxt
+    return table
+
+
+def test_evolve_vertex_flushes_only_subnormal_mass():
+    got = bg.evolve_vertex(1, 3700, P1).table
+    want = _evolve_full_width(1, 3700, P1)
+    assert got.shape == want.shape
+    big = want >= 1e-280
+    assert np.array_equal(got[big], want[big])
+    assert not np.array_equal(got, want)  # the case flushes
+    gaps = np.abs(got - want).sum(axis=1)
+    assert np.all(gaps <= np.arange(len(gaps)) * DBL_MIN)
+
+
+def test_evolve_vertex_bits_without_underflow():
+    for i, t_max, params in ((4, 60, P2), (-2, 400, P1), (1, 2, P1)):
+        assert np.array_equal(bg.evolve_vertex(i, t_max, params).table,
+                              _evolve_full_width(i, t_max, params))
 
 
 def test_evolve_errors():
@@ -166,6 +207,21 @@ def test_network_distribution_errors():
         bg.network_distribution(0, P1)
     with pytest.raises(bg.ConfigurationError):
         bg.network_distribution(10, P2, k_max=1)
+
+
+def test_network_distribution_checks_mean_degree(monkeypatch):
+    from bagrowth import chain
+
+    roll = chain.mixture_roll
+
+    def shifted_roll(*args):
+        s_new, s_init = roll(*args)
+        s_new[P1.m: P1.m + 2] += np.array([-1e-9, 1e-9])  # same sum, higher mean
+        return s_new, s_init
+
+    monkeypatch.setattr(chain, "mixture_roll", shifted_roll)
+    with pytest.raises(bg.VerificationError, match="mean degree"):
+        bg.network_distribution(50, P1)
 
 
 def test_fast_solver_matches_naive_t300():

@@ -133,6 +133,22 @@ def test_compare_rolls_exact_law_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_exact_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
+    from bagrowth import chain
+
+    roll = chain.mixture_roll
+
+    def leaky_roll(*args):
+        s_new, s_init = roll(*args)
+        return s_new * (1.0 - 1e-9), s_init  # loses about 1e-9 of the mass
+
+    monkeypatch.setattr(chain, "mixture_roll", leaky_roll)
+    code = run(["exact", "--m", "1", "--m0", "3", "--t", "50",
+                "--out", str(tmp_path / "e.csv")])
+    assert code == 3
+    assert "sums to" in capsys.readouterr().err
+
+
 def test_compare_small_t_window_past_support(tmp_path, capsys):
     # at t=2 the law's support ends at k=3, below the limit window's k=8
     code = run(["compare", "--m0", "3", "--m", "1", "--t", "2", "--seed", "1",

@@ -54,3 +54,49 @@ def test_grow_one_step_law_is_proportional(m0, m, prefix):
             for v in targets:
                 recv[v] += weight
     assert recv == [Fraction(m * int(k), tdeg) for k in degree]
+
+
+def _roll_full_width(m, m0, d, t):
+    """Reference: the full-width loop roll, with gradual underflow."""
+    kcap = max(m, m0 - 1) + t
+    ks = np.arange(kcap + 1, dtype=np.float64)
+    s_new = np.zeros(kcap + 1)
+    s_init = np.zeros(kcap + 1)
+    s_init[m0 - 1] = float(m0)
+    for step in range(t):
+        den = 2.0 * step + d
+        hi = min(max(m, m0 - 1) + step + 2, kcap + 1)
+        up = ks[:hi] / den
+        stay = 1.0 - up
+        for arr in (s_new, s_init):
+            seg = arr[:hi]
+            nxt = seg * stay
+            nxt[1:] += seg[:-1] * up[:-1]
+            arr[:hi] = nxt
+        s_new[m] += 1.0
+    return s_new, s_init
+
+
+@pytest.mark.parametrize("m,m0,t", [(1, 3, 3000), (1, 2, 6000), (3, 5, 2000)])
+def test_mixture_roll_flushes_only_subnormal_mass(m, m0, t):
+    d = m0 * (m0 - 1) / m
+    got = _kernels.mixture_roll(m, m0, d, t)
+    want = _roll_full_width(m, m0, d, t)
+    top = max(np.nonzero(g >= _kernels.DBL_MIN)[0][-1] for g in got)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        big = w >= 1e-280
+        assert np.array_equal(g[big], w[big])
+        assert not g[top + 1:].any()
+    # the case flushes: the reference holds (subnormal) mass above the top
+    assert any(w[top + 1:].any() for w in want)
+    gap = np.abs((got[0] + got[1]) - (want[0] + want[1])).sum()
+    assert gap <= t * _kernels.DBL_MIN
+
+
+@pytest.mark.parametrize("m,m0,t", [(1, 3, 400), (2, 4, 400), (3, 3, 300), (1, 2, 1), (2, 2, 0)])
+def test_mixture_roll_bits_without_underflow(m, m0, t):
+    d = m0 * (m0 - 1) / m
+    for g, w in zip(_kernels.mixture_roll(m, m0, d, t), _roll_full_width(m, m0, d, t)):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
