@@ -1,127 +1,20 @@
 """Hot inner loops: graph growth and the degree-law forward roll.
 
 Growth consumes pre-drawn uniform variates, m per step, so a fixed seed
-gives a fixed graph. Holme-kim growth at m=1 resolves every target at
-once by pointer jumping over the endpoint list; every other case runs
-the NumPy/Python step loop ``_grow_impl``. Both give the same graph for
-the same uniforms.
+gives a fixed graph. There is one kernel per scheme: holme-kim at m=1
+resolves every target at once by pointer jumping over the endpoint
+list; holme-kim at m>1 runs a Python step loop of O(m) work per step;
+sequential draws each target with one NumPy cumulative sum over the
+frozen degrees. ``grow`` dispatches between them.
 """
+
+from array import array
+from itertools import combinations
 
 import numpy as np
 
 NUMBA_ENABLED = False  # no JIT path exists; perfbench/job.py still records this flag
 DBL_MIN = np.finfo(np.float64).tiny  # smallest normal double, 2.2e-308
-
-
-def _grow_impl(m0, m, t, uniforms, sequential):
-    """Grow a graph from K_{m0} for t steps.
-
-    uniforms has shape (t, m); each step consumes exactly m variates.
-    Vertices are internal indices 0..m0+t-1 (0..m0-1 initial). Returns
-    (edges, degree) with edges in insertion order.
-    """
-    n_total = m0 + t
-    e_init = m0 * (m0 - 1) // 2
-    e_total = e_init + m * t
-    edges = np.empty((e_total, 2), np.int64)
-    degree = np.zeros(n_total, np.int64)
-    # One slot per edge endpoint: uniform index = degree-proportional vertex.
-    endpoints = np.empty(2 * e_total, np.int64)
-    # Half-edge adjacency as linked lists (O(1) append).
-    half_target = np.empty(2 * e_total, np.int64)
-    half_next = np.empty(2 * e_total, np.int64)
-    head = np.full(n_total, -1, np.int64)
-    n_edges = 0
-
-    for i in range(m0):
-        for j in range(i + 1, m0):
-            edges[n_edges, 0] = i
-            edges[n_edges, 1] = j
-            endpoints[2 * n_edges] = i
-            endpoints[2 * n_edges + 1] = j
-            half_target[2 * n_edges] = j
-            half_next[2 * n_edges] = head[i]
-            head[i] = 2 * n_edges
-            half_target[2 * n_edges + 1] = i
-            half_next[2 * n_edges + 1] = head[j]
-            head[j] = 2 * n_edges + 1
-            degree[i] += 1
-            degree[j] += 1
-            n_edges += 1
-
-    targets = np.empty(m, np.int64)
-    buf = np.empty(n_total, np.int64)
-    w = np.empty(n_total, np.float64)
-
-    for step in range(t):
-        new = m0 + step
-        n_exist = new
-        if sequential:
-            # m draws proportional to frozen degrees, without replacement.
-            tot = 0.0
-            for v in range(n_exist):
-                w[v] = degree[v]
-                tot += w[v]
-            for j in range(m):
-                u = uniforms[step, j] * tot
-                acc = 0.0
-                pick = -1
-                last_pos = -1
-                for v in range(n_exist):
-                    wv = w[v]
-                    if wv > 0.0:
-                        last_pos = v
-                        acc += wv
-                        if u < acc:
-                            pick = v
-                            break
-                if pick < 0:
-                    pick = last_pos
-                targets[j] = pick
-                tot -= w[pick]
-                w[pick] = 0.0
-        else:
-            # First endpoint preferential via the endpoint list, then m-1
-            # distinct neighbors of it, uniform (partial Fisher-Yates).
-            tdeg = m0 * (m0 - 1) + 2 * m * step
-            idx = int(uniforms[step, 0] * tdeg)
-            if idx >= tdeg:
-                idx = tdeg - 1
-            first = endpoints[idx]
-            cnt = 0
-            e = head[first]
-            while e != -1:
-                buf[cnt] = half_target[e]
-                cnt += 1
-                e = half_next[e]
-            for j in range(m - 1):
-                r = j + int(uniforms[step, j + 1] * (cnt - j))
-                if r >= cnt:
-                    r = cnt - 1
-                tmp = buf[j]
-                buf[j] = buf[r]
-                buf[r] = tmp
-            targets[0] = first
-            for j in range(m - 1):
-                targets[j + 1] = buf[j]
-
-        for j in range(m):
-            tgt = targets[j]
-            edges[n_edges, 0] = new
-            edges[n_edges, 1] = tgt
-            endpoints[2 * n_edges] = new
-            endpoints[2 * n_edges + 1] = tgt
-            half_target[2 * n_edges] = tgt
-            half_next[2 * n_edges] = head[new]
-            head[new] = 2 * n_edges
-            half_target[2 * n_edges + 1] = new
-            half_next[2 * n_edges + 1] = head[tgt]
-            head[tgt] = 2 * n_edges + 1
-            degree[new] += 1
-            degree[tgt] += 1
-            n_edges += 1
-
-    return edges, degree
 
 
 def roll_step(seg, ks, den, up, stay, flux):
@@ -198,14 +91,14 @@ def mixture_roll(m, m0, d, t):
 
 
 def _grow_holme_kim_m1(m0, t, u):
-    """_grow_impl for holme-kim at m=1, without the step loop.
+    """Holme-kim growth at m=1, without a step loop.
 
     Step s picks slot idx_s = int(u_s * tdeg_s) of the endpoint list.
     Even slots of new edges hold the new vertex, initial slots hold the
     clique, so only odd slots (the targets) are unknown, and each copies
     an earlier slot. Pointer jumping (src = src[src]) resolves every
     copy chain in O(log depth) passes of O(E) work each. Consumes the
-    same uniforms as _grow_impl and returns the same (edges, degree).
+    same uniforms as _grow_holme_kim and returns the same (edges, degree).
     """
     e_init = m0 * (m0 - 1) // 2
     edges = np.empty((e_init + t, 2), np.int64)
@@ -226,8 +119,109 @@ def _grow_holme_kim_m1(m0, t, u):
     return edges, degree
 
 
+BLOCK = 4096  # rows of uniforms unboxed per .tolist()
+
+
+def _rows(uniforms):
+    """The rows of uniforms as lists of Python floats, BLOCK rows at a time."""
+    for lo in range(0, len(uniforms), BLOCK):
+        yield from uniforms[lo:lo + BLOCK].tolist()
+
+
+def _grow_holme_kim(m0, m, t, uniforms):
+    """Holme-kim growth in O(m) work per step, for any m.
+
+    Step s takes its first endpoint from slot int(u_0 * tdeg) of the
+    endpoint list, then m-1 distinct neighbours of it by partial
+    Fisher-Yates, with u_1..u_{m-1}, over the positions of its neighbour
+    list, newest first: position p of cnt holds insertion index cnt-1-p.
+    In insertion order, a grown vertex's neighbours are its m targets,
+    read from the endpoint list, then ``later[v]``: the vertices that
+    attached to it, in arrival order. An initial vertex's ``later``
+    starts with the rest of the clique, ascending. The shuffle records
+    only the displaced positions, so no neighbour list is walked.
+    """
+    e_init = m0 * (m0 - 1) // 2
+    endpoints = array("q", bytes(16 * (e_init + m * t)))  # slot p of the endpoint list
+    endpoints[:2 * e_init] = array("q", [v for pair in combinations(range(m0), 2)
+                                         for v in pair])
+    degree = array("q", [m0 - 1]) * m0 + array("q", bytes(8 * t))
+    later = [array("q", [w for w in range(m0) if w != v]) for v in range(m0)] + [None] * t
+    own_slot = 2 * e_init + 1 - 2 * m * m0  # + 2*(m*v + q): grown v's target q
+    pos = tdeg = 2 * e_init
+    for new, u in enumerate(_rows(uniforms), m0):
+        idx = int(u[0] * tdeg)
+        if idx >= tdeg:
+            idx = tdeg - 1
+        first = endpoints[idx]
+        cnt = degree[first]
+        own = m if first >= m0 else 0
+        targets = [first]
+        moved = {}  # position -> the position whose neighbour it now holds
+        for j in range(m - 1):
+            r = j + int(u[j + 1] * (cnt - j))
+            if r >= cnt:
+                r = cnt - 1
+            p = moved.get(r, r)
+            moved[r] = moved.get(j, j)
+            q = cnt - 1 - p
+            if q < own:
+                targets.append(endpoints[own_slot + 2 * (m * first + q)])
+            else:
+                targets.append(later[first][q - own])
+        for v in targets:
+            endpoints[pos] = new
+            endpoints[pos + 1] = v
+            pos += 2
+            degree[v] += 1
+            if later[v] is None:
+                later[v] = array("q", (new,))
+            else:
+                later[v].append(new)
+        degree[new] = m
+        tdeg += 2 * m
+    return np.frombuffer(endpoints, np.int64).reshape(-1, 2), np.frombuffer(degree, np.int64)
+
+
+def _grow_sequential(m0, m, t, uniforms):
+    """Sequential growth: m draws proportional to the degrees frozen at step start.
+
+    Draws are without replacement: a picked vertex's weight drops to 0.
+    Each draw picks the first vertex whose cumulative weight exceeds
+    u * total, by a binary search of the cumulative sum; the weights are
+    integer degrees, so every sum is exact below 2**53. When u * total
+    rounds up to the total, the last vertex still holding weight is picked.
+    """
+    e_init = m0 * (m0 - 1) // 2
+    edges = np.empty((e_init + m * t, 2), np.int64)
+    edges[:e_init, 0], edges[:e_init, 1] = np.triu_indices(m0, 1)
+    edges[e_init:, 0] = np.repeat(np.arange(m0, m0 + t), m)
+    degree = np.zeros(m0 + t)
+    degree[:m0] = m0 - 1
+    for step, row in enumerate(_rows(uniforms)):
+        w = degree[:m0 + step].copy()
+        targets = edges[e_init + m * step:e_init + m * (step + 1), 1]
+        for j, u in enumerate(row):
+            acc = np.cumsum(w)
+            pick = int(np.searchsorted(acc, u * acc[-1], side="right"))
+            if pick == len(w):
+                pick = int(np.flatnonzero(w)[-1])
+            targets[j] = pick
+            w[pick] = 0.0
+        degree[targets] += 1.0
+        degree[m0 + step] = m
+    return edges, degree.astype(np.int64)
+
+
 def grow(m0, m, t, uniforms, sequential):
-    """Grow a graph as _grow_impl does; holme-kim at m=1 skips the step loop."""
-    if m == 1 and not sequential:
+    """Grow K_{m0} for t steps; uniforms has shape (t, m), m variates per step.
+
+    Vertices are internal indices 0..m0+t-1 (0..m0-1 initial). Returns
+    int64 (edges, degree), edges (E, 2) in insertion order: the clique's
+    pairs (i, j), i < j, ascending, then m rows (new, target) per step.
+    """
+    if sequential:
+        return _grow_sequential(m0, m, t, uniforms)
+    if m == 1:
         return _grow_holme_kim_m1(m0, t, uniforms[:, 0])
-    return _grow_impl(m0, m, t, uniforms, sequential)
+    return _grow_holme_kim(m0, m, t, uniforms)

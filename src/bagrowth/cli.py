@@ -93,6 +93,7 @@ def cmd_generate(args) -> int:
     config = RunConfig(m0=args.m0, m=args.m, t=args.t, scheme=args.scheme,
                        seed=args.seed)
     state = generate(config)
+    state.check()
     meta = _meta(m0=args.m0, m=args.m, t=args.t, seed=args.seed, scheme=args.scheme)
     write_edge_list(state, args.out + ".edges", header=meta)
     write_degree_histogram(state, args.out + ".hist.csv", header=meta)

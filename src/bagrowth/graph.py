@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from ._kernels import grow
+from ._kernels import BLOCK, grow
 from .errors import ConfigurationError, EnumerationBoundError, VerificationError
 
 HOLME_KIM = "holme-kim"
@@ -74,8 +74,11 @@ class GraphState:
         loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
         if loops.size:
             raise VerificationError(f"vertex {edges[loops[0], 0]}: self-loop")
-        pairs = np.sort(edges, axis=1)
-        if len(np.unique(pairs, axis=0)) != len(pairs):
+        keys = edges.min(axis=1)  # one key per pair: min * n + max, sorted in place
+        keys *= n
+        keys += edges.max(axis=1)
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
             raise VerificationError("parallel edge")
         # equal degrees also give the handshake identity sum(degree) == 2|E|
         counted = np.bincount(edges.reshape(-1), minlength=n)
@@ -225,8 +228,9 @@ def write_edge_list(state: GraphState, path, header: str = "") -> None:
     with open(path, "w") as fh:
         if header:
             fh.write(header + "\n")
-        for u, v in state.edges:
-            fh.write(f"{lab[u]} {lab[v]}\n")
+        for lo in range(0, len(state.edges), BLOCK):  # no labelled copy of all edges
+            rows = lab[state.edges[lo:lo + BLOCK]].tolist()
+            fh.write("".join(f"{u} {v}\n" for u, v in rows))
 
 
 def write_degree_histogram(state: GraphState, path, header: str = "") -> None:

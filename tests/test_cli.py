@@ -45,6 +45,24 @@ def test_generate_io_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_generate_checks_the_graph_it_writes(tmp_path, monkeypatch, capsys):
+    from bagrowth import cli
+
+    generate = cli.generate
+
+    def parallel_edge(config):
+        state = generate(config)
+        state.edges[-1] = state.edges[-2]  # the last pair twice
+        return state
+
+    monkeypatch.setattr(cli, "generate", parallel_edge)
+    code = run(["generate", "--m0", "3", "--m", "2", "--t", "50", "--seed", "1",
+                "--out", str(tmp_path / "g")])
+    assert code == 3
+    assert "parallel edge" in capsys.readouterr().err
+    assert not (tmp_path / "g.edges").exists()
+
+
 def test_exact_csv(tmp_path, capsys):
     out = tmp_path / "exact.csv"
     code = run(["exact", "--m", "1", "--m0", "3", "--t", "2000",

@@ -66,10 +66,10 @@ def test_chi2_threshold_is_scipy_stats_quantile():
         assert chi2_threshold(CHI2_LEVEL, dof) == sps.chi2.ppf(CHI2_LEVEL, dof)
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def test_cli_import_leaves_out_scipy_stats(src_env):
     code = "import sys, bagrowth.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=src_env)
     assert out.stdout.strip() == "False"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -78,7 +79,7 @@ def test_check_raises_on_self_loop():
         s.check()
 
 
-def test_check_survives_optimized_mode():
+def test_check_survives_optimized_mode(src_env):
     # python -O strips assert statements; the invariant checks must remain
     code = (
         "import bagrowth as bg\n"
@@ -90,7 +91,7 @@ def test_check_survives_optimized_mode():
         "    print('raised', exc)\n"
     )
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=src_env)
     assert out.stdout.startswith("raised") and "self-loop" in out.stdout
 
 
@@ -114,6 +115,43 @@ def test_generate_deterministic():
     assert np.array_equal(a.edges, b.edges)
     c = bg.generate(bg.RunConfig(m0=3, m=2, t=50, seed=43))
     assert not np.array_equal(a.edges, c.edges)
+
+
+# SHA-256 of generate(...).edges (little-endian int64), recorded with the
+# step-loop kernel before the per-scheme kernels replaced it
+GOLDEN_EDGES = [
+    ("holme-kim", 3, 1, 5000, 1,
+     "473ae83951ec0541fefe69228e45f44e9ea7b9b60590c3ecb47ed565c716f8dd"),
+    ("holme-kim", 3, 2, 30000, 1,
+     "06a12eb9cba4d0686e9caccb9e3d243538c48c8c824a56a369282bf86b2d1bb8"),
+    ("holme-kim", 5, 5, 5000, 2,
+     "0c24159f53aa8ec214d9052ad47bb235dac74949f8df828b3230a54ae24e390c"),
+    ("holme-kim", 4, 3, 8000, 3,
+     "9082b6c1f4aa2675c301e29ffe551876f332ffa64b1898b8d36bd26e951a2c55"),
+    ("holme-kim", 2, 2, 3000, 4,
+     "d29fbd586f0d3005f3b79493817c6ca4a46727c38bcbf2c8f0206b2f75fd72d8"),
+    ("holme-kim", 6, 4, 100, 5,
+     "1aba596d58b24b10db2987eb0775f20953cbba7ac210800829e6c900da67f6ae"),
+    ("holme-kim", 4, 4, 1, 6,
+     "b6cef8af81db8bdd323f1b736541e51643ca655840f2c60f441bb47417ea220b"),
+    ("holme-kim", 3, 2, 0, 7,
+     "79804fd0053199256af1dee6baa3c44ee78fc1c597da9105d41e7d1fca910d6b"),
+    ("sequential", 5, 2, 3000, 1,
+     "ab63b3a13af25ece2b01cfb373ff6643aa56fa26d903444b8af80abd0eb4e849"),
+    ("sequential", 3, 1, 2000, 2,
+     "79cea467ce121f3bc226cc3897430e224fe4097cdffdb88cb96c59c01a144f59"),
+    ("sequential", 4, 4, 300, 3,
+     "b6bb0f65c9c0cef9ecae4d9a81daccdd8b4c8e5466464488ba09ed75db55a113"),
+    ("sequential", 2, 2, 500, 4,
+     "66f8b9f01aace46e7f6d12112b1c42d3cc89356be1b63cffd6e3647c69224d48"),
+]
+
+
+@pytest.mark.parametrize("scheme,m0,m,t,seed,digest", GOLDEN_EDGES)
+def test_generate_edges_golden_hashes(scheme, m0, m, t, seed, digest):
+    g = bg.generate(bg.RunConfig(m0=m0, m=m, t=t, seed=seed, scheme=scheme))
+    got = hashlib.sha256(np.ascontiguousarray(g.edges, "<i8").tobytes()).hexdigest()
+    assert got == digest
 
 
 @pytest.mark.parametrize("scheme", ["holme-kim", "sequential"])
