@@ -73,27 +73,70 @@ def _start_of(i: int, params: ChainParams):
 
 @dataclass
 class DegreeLaw:
-    """P(k, i, t) for one vertex i over t = start_time..t_max."""
+    """P(k, i, t) for one vertex i over t = start_time..t_max, stored as a band.
+
+    Row t holds the degrees [start_degree, top_t], where top_t is the last
+    degree holding a normal double at time t; every other degree has
+    probability exactly 0. The rows are concatenated in ``values``: row
+    t is ``values[offsets[j]:offsets[j + 1]]`` with j = t - start_time.
+    """
 
     vertex: int
     start_time: int
     start_degree: int
-    table: np.ndarray  # shape (t_max - start_time + 1, kmax+1)
+    values: np.ndarray   # float64, the rows' bands end to end
+    offsets: np.ndarray  # int64, shape (t_max - start_time + 2,)
 
     @property
     def t_max(self) -> int:
-        return self.start_time + self.table.shape[0] - 1
+        return self.start_time + len(self.offsets) - 2
 
-    def row(self, t: int) -> np.ndarray:
+    @property
+    def k_max(self) -> int:
+        """Largest reachable degree at t_max; dense rows have k_max + 1 cells."""
+        return self.start_degree + self.t_max - self.start_time
+
+    def _band(self, t: int) -> np.ndarray:
         if not self.start_time <= t <= self.t_max:
             raise ConfigurationError(f"time {t} outside [{self.start_time}, {self.t_max}]")
-        return self.table[t - self.start_time]
+        j = t - self.start_time
+        return self.values[self.offsets[j]:self.offsets[j + 1]]
+
+    def row(self, t: int) -> np.ndarray:
+        """The law at time t over degrees 0..k_max (a new array)."""
+        band = self._band(t)
+        out = np.zeros(self.k_max + 1)
+        out[self.start_degree:self.start_degree + len(band)] = band
+        return out
+
+    def column(self, k: int) -> np.ndarray:
+        """P(k, i, t) for t = start_time..t_max (a new array)."""
+        j = k - self.start_degree
+        starts = self.offsets[:-1]
+        out = np.zeros(len(starts))
+        if j >= 0:
+            held = self.offsets[1:] - starts > j
+            out[held] = self.values[starts[held] + j]
+        return out
 
     def prob(self, k: int, t: int) -> float:
-        row = self.row(t)
-        if k < 0 or k >= len(row):
-            return 0.0
-        return float(row[k])
+        band = self._band(t)
+        j = k - self.start_degree
+        return float(band[j]) if 0 <= j < len(band) else 0.0
+
+    @property
+    def table(self) -> np.ndarray:
+        """Dense read-only (steps, k_max + 1) copy, for verification only.
+
+        It is 2.5 times the band's size at t_max = 3700 (110 MB for vertex
+        1 of m=1, m0=3); use row, column or prob in program code.
+        """
+        out = np.zeros((len(self.offsets) - 1, self.k_max + 1))
+        deg0 = self.start_degree
+        for dense, lo, hi in zip(out, self.offsets[:-1], self.offsets[1:]):
+            dense[deg0:deg0 + hi - lo] = self.values[lo:hi]
+        out.flags.writeable = False
+        return out
 
 
 def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
@@ -104,32 +147,41 @@ def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
     window [start_degree, top+1], where top is the last degree holding a
     normal double; mass below DBL_MIN (2.2e-308) at the top is set to
     exact 0, as in ``_kernels.mixture_roll``. Every cell that the
-    full-width roll holds at >= 1e-280 keeps its bits. Outside
-    [start_degree, top] the table holds exact zeros, so support stays
-    structurally inside [start_degree, start_degree + t - start_time].
-    Cost is O(steps * top); the table is still (steps, kmax+1) floats.
+    full-width roll holds at >= 1e-280 keeps its bits. Each row is stored
+    over [start_degree, top] only (see DegreeLaw); every other degree is
+    exact 0, so support stays structurally inside
+    [start_degree, start_degree + t - start_time]. Cost is O(steps * top)
+    in time and at most steps * top floats in memory: 44 MB for vertex 1
+    of m=1, m0=3 at t_max=3700, against 110 MB for the dense table.
     """
     start, deg0 = _start_of(i, params)
     if t_max < start:
         raise ConfigurationError("t_max precedes the vertex's start time")
     kmax = deg0 + (t_max - start)
     steps = t_max - start + 1
-    table = np.zeros((steps, kmax + 1))
-    table[0, deg0] = 1.0
+    # row j spans at most j+1 degrees; pages past the band are never touched
+    values = np.empty(steps * (steps + 1) // 2)
+    offsets = np.empty(steps + 1, dtype=np.int64)
+    values[0] = 1.0
+    offsets[:2] = 0, 1
     ks = np.arange(kmax + 1, dtype=np.float64)
-    row = table[:1].copy()
+    row = np.zeros((1, kmax + 1))
+    row[0, deg0] = 1.0
     rows = tuple(row)
     up = np.empty(kmax + 1)
     stay = np.empty(kmax + 1)
     flux = np.empty((1, kmax))
-    top = deg0
+    top, end = deg0, 1
     for idx, t in enumerate(range(start, t_max)):
         hi = top + 2
         roll_step(row[:, deg0:hi], ks[deg0:hi], 2.0 * t + params.d,
                   up[deg0:hi], stay[deg0:hi], flux[:, deg0:hi - 1])
         top = flush_top(rows, hi - 1)
-        table[idx + 1, deg0:top + 1] = row[0, deg0:top + 1]
-    return DegreeLaw(vertex=i, start_time=start, start_degree=deg0, table=table)
+        lo, end = end, end + top + 1 - deg0
+        values[lo:end] = row[0, deg0:top + 1]
+        offsets[idx + 2] = end
+    return DegreeLaw(vertex=i, start_time=start, start_degree=deg0,
+                     values=values[:end], offsets=offsets)
 
 
 def evolve_vertex_exact(i: int, t_max: int, params: ChainParams) -> list:
@@ -177,8 +229,8 @@ def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
     Evaluates sum_s f(k,i,s) * prod_{j=s}^{t-1} (1 - k/(2j+d)) with the
     survival products carried as log1p sums, factored as
     exp(L[t] - L[s]) and summed in the log domain, so no term overflows.
-    This route consumes only the degree-(k-1) row of the per-vertex law,
-    so it is independent of the forward roll of the degree-k row it is
+    This route consumes only the degree-(k-1) column of the per-vertex law,
+    so it is independent of the forward roll of the degree-k column it is
     checked against.
     """
     start, deg0 = _start_of(i, params)
@@ -194,11 +246,8 @@ def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
     if law is None:
         law = evolve_vertex(i, t_max, params)
     times = np.arange(s_min, t_max + 1)
-    prev_row = law.table[:, k - 1] if k - 1 < law.table.shape[1] else None
-    if prev_row is None:
-        return out
     # f(k,i,s) over s = s_min..t_max
-    f = prev_row[times - 1 - start] * (k - 1) / (2.0 * (times - 1) + d)
+    f = law.column(k - 1)[times - 1 - start] * (k - 1) / (2.0 * (times - 1) + d)
     # L[x] = sum_{j=s_min}^{x-1} log(1 - k/(2j+d)), x = s_min..t_max
     logs = np.log1p(-k / (2.0 * times[:-1] + d)) if len(times) > 1 else np.empty(0)
     big_l = np.concatenate([[0.0], np.cumsum(logs)])

@@ -80,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--scheme", choices=("holme-kim", "sequential"), default="holme-kim")
     c.add_argument("--replicates", type=int, default=50)
     c.add_argument("--k-max", type=int, default=None)
-    c.add_argument("--threads", type=int, default=1)
+    c.add_argument("--threads", type=int, default=1,
+                   help="at most N workers; runs serially when one replicate is "
+                        "too cheap to pay for the pool")
 
     v = sub.add_parser("verify-proposition",
                        help="exact rational check of one-step receive probabilities")

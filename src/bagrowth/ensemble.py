@@ -8,7 +8,7 @@ order.
 """
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +21,10 @@ from .graph import SEQUENTIAL, RunConfig
 from .limits import steady_state, tail_exponent
 
 CHI2_LEVEL = 0.999
+CHUNKSIZE = 8  # replicates per task sent to a pool worker
+# Import, start and teardown of a 2-worker process pool running a trivial
+# map from a 55-MB CLI process: 3.4 + 9-10 ms (2 vCPUs, Linux fork).
+POOL_START_S = 0.013
 
 
 def _replicate_counts(args):
@@ -66,15 +70,49 @@ class EnsembleStats:
         return np.sqrt(rep_freq.var(axis=0, ddof=1) / r)
 
 
+def pool_workers(threads: int, replicates: int) -> int:
+    """Workers for replicates 1..R-1: at most one per chunk of CHUNKSIZE.
+
+    A fork-based pool starts all its workers at the first task, so a
+    larger pool would only fork idle processes.
+    """
+    chunks = -(-(replicates - 1) // CHUNKSIZE)
+    return max(0, min(threads, chunks))
+
+
+def fan_out(threads: int, replicates: int, first_s: float) -> int:
+    """Pool size for replicates 1..R-1, or 0 to run them in-process.
+
+    first_s is the measured time of replicate 0. A pool of w workers is
+    projected to save (R-1) * first_s * (1 - 1/w); it runs only when
+    that exceeds POOL_START_S.
+    """
+    workers = pool_workers(threads, replicates)
+    if workers < 2:
+        return 0
+    saving = (replicates - 1) * first_s * (1.0 - 1.0 / workers)
+    return workers if saving > POOL_START_S else 0
+
+
 def run_replicates(config: RunConfig, threads: int = 1) -> EnsembleStats:
-    """Generate config.replicates independent graphs and pool degree counts."""
+    """Generate config.replicates independent graphs and pool degree counts.
+
+    Replicate 0 runs in-process and is timed; the rest go to a pool of at
+    most `threads` workers only when ``fan_out`` finds the pool pays for
+    its start. Either way the counts are the same.
+    """
     children = np.random.SeedSequence(config.seed).spawn(config.replicates)
     jobs = [(config, child) for child in children]
-    if threads <= 1 or config.replicates == 1:
-        per_rep = [_replicate_counts(j) for j in jobs]
+    start = time.perf_counter()
+    per_rep = [_replicate_counts(jobs[0])]
+    workers = fan_out(threads, config.replicates, time.perf_counter() - start)
+    if workers:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_rep += pool.map(_replicate_counts, jobs[1:], chunksize=CHUNKSIZE)
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(_replicate_counts, jobs, chunksize=8))
+        per_rep += map(_replicate_counts, jobs[1:])
     width = max(len(c) for c in per_rep)
     rep_counts = np.zeros((config.replicates, width), dtype=np.int64)
     for r, c in enumerate(per_rep):

@@ -12,3 +12,28 @@ def src_env():
     """Environment for a child interpreter that imports the bagrowth under test."""
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """A call that makes run_replicates start its pool however cheap a replicate is.
+
+    The call returns the list of pool sizes ``ensemble.fan_out`` chose,
+    one per run_replicates call of the test (0: ran in-process).
+    """
+    from bagrowth import ensemble
+
+    sizes = []
+    fan_out = ensemble.fan_out
+
+    def recording(*args):
+        sizes.append(fan_out(*args))
+        return sizes[-1]
+
+    monkeypatch.setattr(ensemble, "fan_out", recording)
+
+    def force():
+        monkeypatch.setattr(ensemble, "POOL_START_S", 0.0)
+        return sizes
+
+    return force

@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 import bagrowth as bg
-from bagrowth._kernels import DBL_MIN
+from bagrowth._kernels import DBL_MIN, flush_top, roll_step
 
 P1 = bg.ChainParams(m=1, m0=3)   # d = 6
 P2 = bg.ChainParams(m=2, m0=5)   # N0 = 20, d = 10
+
+
+def _times(law):
+    return range(law.start_time, law.t_max + 1)
+
+
+def _dense_rows(law):
+    """The law's rows as one (steps, k_max + 1) array, built from row(t)."""
+    return np.array([law.row(t) for t in _times(law)])
 
 
 def test_params_validation():
@@ -59,7 +68,7 @@ def test_evolve_initial_vertex_starts_at_clique_degree():
 def test_rows_sum_to_one():
     for params, i, t_max in ((P1, 1, 1000), (P2, 3, 500), (P1, -2, 800)):
         law = bg.evolve_vertex(i, t_max, params)
-        sums = law.table.sum(axis=1)
+        sums = np.array([law.row(t).sum() for t in _times(law)])
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
@@ -75,7 +84,7 @@ def test_support_zeros_are_structural():
     # above each row's window top (its last normal cell) every cell is
     # exactly 0; vertex 1 of P1 starts flushing subnormal mass near t=1000
     for law in (law, bg.evolve_vertex(1, 1200, P1)):
-        for row in law.table:
+        for row in map(law.row, _times(law)):
             top = np.nonzero(row >= DBL_MIN)[0][-1]
             assert not row[top + 1:].any()
 
@@ -98,7 +107,7 @@ def _evolve_full_width(i, t_max, params):
 
 
 def test_evolve_vertex_flushes_only_subnormal_mass():
-    got = bg.evolve_vertex(1, 3700, P1).table
+    got = _dense_rows(bg.evolve_vertex(1, 3700, P1))
     want = _evolve_full_width(1, 3700, P1)
     assert got.shape == want.shape
     big = want >= 1e-280
@@ -110,8 +119,76 @@ def test_evolve_vertex_flushes_only_subnormal_mass():
 
 def test_evolve_vertex_bits_without_underflow():
     for i, t_max, params in ((4, 60, P2), (-2, 400, P1), (1, 2, P1)):
-        assert np.array_equal(bg.evolve_vertex(i, t_max, params).table,
+        assert np.array_equal(_dense_rows(bg.evolve_vertex(i, t_max, params)),
                               _evolve_full_width(i, t_max, params))
+
+
+def _evolve_dense(i, t_max, params):
+    """Reference: the dense (steps, k_max + 1) roll that the band replaced."""
+    start, deg0 = (i, params.m) if i >= 1 else (0, params.m0 - 1)
+    kmax = deg0 + (t_max - start)
+    table = np.zeros((t_max - start + 1, kmax + 1))
+    table[0, deg0] = 1.0
+    ks = np.arange(kmax + 1, dtype=np.float64)
+    row = table[:1].copy()
+    up, stay, flux = np.empty(kmax + 1), np.empty(kmax + 1), np.empty((1, kmax))
+    top = deg0
+    for idx, t in enumerate(range(start, t_max)):
+        hi = top + 2
+        roll_step(row[:, deg0:hi], ks[deg0:hi], 2.0 * t + params.d,
+                  up[deg0:hi], stay[deg0:hi], flux[:, deg0:hi - 1])
+        top = flush_top(tuple(row), hi - 1)
+        table[idx + 1, deg0:top + 1] = row[0, deg0:top + 1]
+    return table
+
+
+class _DenseLaw:
+    """A law read from a dense table, as passage_curve read it before the band."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def column(self, k):
+        return self.table[:, k]
+
+
+@pytest.mark.parametrize("i,t_max,params,ks,ts", [
+    (1, 3700, P1, (1, 2, 300, 2000, 2520, 2521, 2522, 3700), (1, 2, 1000, 2500, 3700)),
+    (4, 60, P2, None, None),
+    (-2, 400, P1, None, None),
+    (1, 1200, P1, None, None),
+    (2, 90, bg.ChainParams(m=3, m0=4), None, None),
+])
+def test_band_keeps_the_dense_tables_bits(i, t_max, params, ks, ts):
+    law = bg.evolve_vertex(i, t_max, params)
+    dense = _evolve_dense(i, t_max, params)
+    start, deg0 = law.start_time, law.start_degree
+    ks = range(-1, law.k_max + 2) if ks is None else ks
+    ts = _times(law) if ts is None else ts
+    assert law.table.tobytes() == dense.tobytes()
+    assert not law.table.flags.writeable
+    for k in ks:
+        want = dense[:, k] if 0 <= k <= law.k_max else np.zeros(len(dense))
+        assert law.column(k).tobytes() == want.tobytes()
+        if deg0 < k <= law.k_max:
+            got = bg.passage_curve(k, i, t_max, params, law=law)
+            ref = bg.passage_curve(k, i, t_max, params, law=_DenseLaw(dense))
+            assert got.tobytes() == ref.tobytes()
+    for t in ts:
+        assert law.row(t).tobytes() == dense[t - start].tobytes()
+        for k in (deg0 - 1, deg0, deg0 + (t - start) // 2, deg0 + t - start, law.k_max + 1):
+            want = dense[t - start, k] if 0 <= k <= law.k_max else 0.0
+            assert law.prob(k, t) == want
+
+
+def test_band_holds_only_the_normal_cells():
+    law = bg.evolve_vertex(1, 3700, P1)
+    widths = np.diff(law.offsets)
+    assert widths[0] == 1 and np.all(np.diff(widths) <= 1)
+    last = law.values[law.offsets[1:] - 1]  # each row's top cell
+    assert np.all(last >= DBL_MIN)
+    steps = len(widths)
+    assert law.values.nbytes < 0.41 * steps * (law.k_max + 1) * 8  # 43.8 of 109.5 MB
 
 
 def test_evolve_errors():
@@ -127,7 +204,7 @@ def test_exact_rational_cross_check():
     for ti, row in enumerate(rows):
         assert sum(row.values()) == 1  # exactly stochastic
         for k, fr in row.items():
-            assert abs(law.table[ti, k] - float(fr)) < 1e-13
+            assert abs(law.prob(k, law.start_time + ti) - float(fr)) < 1e-13
 
 
 def test_first_passage_simple():
@@ -168,8 +245,7 @@ def test_passage_matches_evolution_small():
             deg0 = law.start_degree
             for k in range(deg0 + 1, deg0 + 60 - law.start_time + 1):
                 curve = bg.passage_curve(k, i, 60, params, law=law)
-                direct = (law.table[:, k] if k < law.table.shape[1]
-                          else np.zeros_like(curve))
+                direct = law.column(k)
                 np.testing.assert_allclose(curve, direct, atol=1e-13)
 
 
@@ -178,7 +254,7 @@ def test_passage_overflow_regime_matches_evolution():
     params = bg.ChainParams(m=1, m0=3)
     law = bg.evolve_vertex(1, 3700, params)
     curve = bg.passage_curve(2000, 1, 3700, params, law=law)
-    np.testing.assert_allclose(curve, law.table[:, 2000], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(curve, law.column(2000), rtol=0, atol=1e-12)
 
 
 def test_network_distribution_normalization_and_mean():

@@ -127,6 +127,21 @@ def test_compare(tmp_path, capsys):
     assert stats[1] == "k,count,freq,se,p_exact,p_limit"
 
 
+def test_compare_bytes_do_not_depend_on_the_pool(tmp_path, force_pool):
+    argv = ["compare", "--m0", "3", "--m", "2", "--t", "300", "--seed", "5",
+            "--replicates", "20"]
+
+    def outputs(name, threads):
+        assert run(argv + ["--threads", str(threads), "--out", str(tmp_path / name)]) == 0
+        return [(tmp_path / (name + sfx)).read_bytes() for sfx in (".stats.csv", ".report.json")]
+
+    serial = outputs("serial", 1)
+    assert outputs("auto", 2) == serial
+    pools = force_pool()
+    assert outputs("pool", 2) == serial
+    assert pools[0] == 0 and pools[-1] == 2
+
+
 def test_compare_rejects_zero_replicates(tmp_path, capsys):
     code = run(["compare", "--m0", "3", "--m", "1", "--t", "10", "--seed", "1",
                 "--replicates", "0", "--out", str(tmp_path / "cmp")])

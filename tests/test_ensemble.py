@@ -7,7 +7,15 @@ import pytest
 from scipy import stats as sps
 
 import bagrowth as bg
-from bagrowth.ensemble import CHI2_LEVEL, _merge_cells, chi2_threshold
+from bagrowth.ensemble import (
+    CHI2_LEVEL,
+    CHUNKSIZE,
+    POOL_START_S,
+    _merge_cells,
+    chi2_threshold,
+    fan_out,
+    pool_workers,
+)
 
 
 def test_single_replicate_t0():
@@ -26,11 +34,45 @@ def test_edge_count_conservation(scheme):
     assert np.all(stats.se >= 0.0)
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(force_pool):
+    pools = force_pool()
     cfg = bg.RunConfig(m0=3, m=2, t=300, seed=31, replicates=12)
     a = bg.run_replicates(cfg, threads=1)
     b = bg.run_replicates(cfg, threads=4)
+    assert pools == [0, 2]
     assert np.array_equal(a.rep_counts, b.rep_counts)
+
+
+def test_pool_workers_are_bounded_by_chunks():
+    # arithmetic only: no pool is started
+    assert CHUNKSIZE == 8
+    assert pool_workers(10_000, 20) == 3           # 19 replicates, 3 chunks
+    assert pool_workers(10_000, 8 * 4096 + 1) == 4096
+    assert pool_workers(2, 20) == 2
+    assert pool_workers(10_000, 1) == 0
+    assert pool_workers(0, 100) == 0
+    assert pool_workers(-3, 100) == 0
+
+
+def test_fan_out_decision():
+    # the pool runs only when (R-1) * first_s * (1 - 1/w) exceeds POOL_START_S
+    r = 20
+    edge = POOL_START_S / ((r - 1) * (1 - 1 / 2))
+    assert fan_out(2, r, 1.01 * edge) == 2
+    assert fan_out(2, r, 0.99 * edge) == 0
+    assert fan_out(10_000, r, 1.0) == 3            # capped at one worker per chunk
+    edge3 = POOL_START_S / ((r - 1) * (1 - 1 / 3))
+    assert fan_out(10_000, r, 1.01 * edge3) == 3
+    assert fan_out(10_000, r, 0.99 * edge3) == 0
+    # one worker, one replicate or no threads never start a pool
+    assert fan_out(1, r, 10.0) == 0
+    assert fan_out(4, 1, 10.0) == 0
+    assert fan_out(0, r, 10.0) == 0
+    assert fan_out(4, 9, 10.0) == 0                # 8 replicates fill one chunk
+    # replicate times measured on 2 vCPUs: m=1, t=5000 takes 0.17-0.5 ms,
+    # m=2, t=2000 takes 3.4-3.8 ms; only the second pays for a pool
+    assert fan_out(2, r, 0.0005) == 0
+    assert fan_out(2, r, 0.0034) == 2
 
 
 def test_compare_requires_matching_params():
@@ -68,6 +110,13 @@ def test_chi2_threshold_is_scipy_stats_quantile():
 
 def test_cli_import_leaves_out_scipy_stats(src_env):
     code = "import sys, bagrowth.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=src_env)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_process_pool(src_env):
+    code = "import sys, bagrowth.cli; print('concurrent.futures.process' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=src_env)
     assert out.stdout.strip() == "False"

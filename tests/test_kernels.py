@@ -171,30 +171,72 @@ def test_grow_clamps_match_reference(m0, m, sequential, u):
     assert np.array_equal(d1, d2)
 
 
+def _one_step_law(m0, m, prefix, sequential):
+    """Exact law of the next step's targets, enumerated over grow's own map.
+
+    Each uniform picks one of `cells` equal cells: a slot int(u * cells)
+    for holme-kim, the integer cumulative-weight interval holding
+    u * cells for sequential. Feeding every cell midpoint with weight
+    1/cells gives the exact law of the step. Returns (recv, degree):
+    recv[v] is the probability that vertex v receives an edge.
+    """
+    head = np.random.default_rng(prefix).random((prefix, m))
+    _, degree = _kernels.grow(m0, m, prefix, head, sequential)
+    degree = degree.tolist()
+    tdeg = sum(degree)
+    recv = [Fraction(0)] * len(degree)
+
+    def targets(row):
+        # draws past len(row) do not change the picks before them
+        u = np.vstack([head, [row + [0.5] * (m - len(row))]])
+        return _kernels.grow(m0, m, prefix + 1, u, sequential)[0][-m:, 1].tolist()
+
+    def walk(row, weight):
+        if len(row) == m:
+            picks = targets(row)
+            assert len(set(picks)) == m
+            for v in picks:
+                recv[v] += weight
+            return
+        if not row:
+            cells = tdeg
+        elif sequential:  # the frozen degrees not yet picked
+            cells = tdeg - sum(degree[v] for v in targets(row)[:len(row)])
+        else:  # the first endpoint's neighbours not yet picked
+            cells = degree[targets(row)[0]] - (len(row) - 1)
+        for c in range(cells):
+            walk(row + [(c + 0.5) / cells], weight / cells)
+
+    walk([], Fraction(1))
+    return recv, degree
+
+
 @pytest.mark.parametrize("prefix", [0, 1, 3])
 @pytest.mark.parametrize("m0,m", [(m0, m) for m0 in (3, 4) for m in range(1, m0 + 1)])
 def test_grow_one_step_law_is_proportional(m0, m, prefix):
-    # enumerate grow's own map from the next step's uniforms to its targets:
-    # each uniform is read as an index int(u * cells), so feeding every cell
-    # midpoint with weight 1/cells gives the exact law of that step
-    head = np.random.default_rng(prefix).random((prefix, m))
-    edges, degree = _kernels.grow(m0, m, prefix, head, False)
-    slots = edges.reshape(-1)  # slot p of the endpoint list
-    tdeg = len(slots)
-    recv = [Fraction(0)] * len(degree)
-    for c in range(tdeg):
-        cnt = int(degree[slots[c]])  # neighbours of the first endpoint
-        sizes = [cnt - j for j in range(m - 1)]
-        weight = Fraction(1, tdeg * int(np.prod(sizes)))
-        for picks in product(*map(range, sizes)):
-            row = [(c + 0.5) / tdeg] + [(i + 0.5) / n for i, n in zip(picks, sizes)]
-            u = np.vstack([head, [row]])
-            grown, _ = _kernels.grow(m0, m, prefix + 1, u, False)
-            targets = grown[-m:, 1]
-            assert len(set(targets.tolist())) == m
-            for v in targets:
-                recv[v] += weight
-    assert recv == [Fraction(m * int(k), tdeg) for k in degree]
+    recv, degree = _one_step_law(m0, m, prefix, False)
+    assert recv == [Fraction(m * k, sum(degree)) for k in degree]
+
+
+@pytest.mark.parametrize("prefix", [0, 1, 3])
+@pytest.mark.parametrize("m0", [3, 4])
+def test_sequential_one_step_law_at_m1_is_proportional(m0, prefix):
+    recv, degree = _one_step_law(m0, 1, prefix, True)
+    assert recv == [Fraction(k, sum(degree)) for k in degree]
+
+
+@pytest.mark.parametrize("m0,m,prefix,vertex,k,gap", [
+    (3, 2, 1, 1, 3, Fraction(-3, 140)),   # degrees [2, 3, 3, 2]
+    (4, 3, 1, 0, 4, Fraction(-5, 231)),   # degrees [4, 3, 4, 4, 3]
+])
+def test_sequential_one_step_law_deviates_at_m2_and_above(m0, m, prefix, vertex, k, gap):
+    # without replacement over frozen degrees, a high-degree vertex
+    # receives less than m*k/sum(k); on K_{m0} alone symmetry hides it
+    recv, degree = _one_step_law(m0, m, 0, True)
+    assert recv == [Fraction(m, m0)] * m0
+    recv, degree = _one_step_law(m0, m, prefix, True)
+    assert degree[vertex] == k
+    assert recv[vertex] - Fraction(m * k, sum(degree)) == gap
 
 
 def _roll_full_width(m, m0, d, t):
