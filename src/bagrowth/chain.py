@@ -10,7 +10,6 @@ evaluates the closed-form product-sum expression for the probability of
 the minimum degree.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp
@@ -386,38 +385,3 @@ def closed_form_pmt(t: int, params: ChainParams) -> float:
     total += np.exp(big_l[t - 1] - big_l[1:t]).sum()
     return total / (t + m0)
 
-
-def write_distribution_csv(dist: MixtureDistribution, analytic, path,
-                           header: str = "") -> None:
-    """CSV 'k,p_exact,p_analytic,abs_gap'; analytic maps k -> P(k)."""
-    with open(path, "w") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("k,p_exact,p_analytic,abs_gap\n")
-        for k, p in zip(dist.k, dist.probs):
-            pa = analytic(int(k))
-            fh.write(f"{k},{p:.12g},{pa:.12g},{abs(p - pa):.12g}\n")
-
-
-def distribution_dict(dist: MixtureDistribution, analytic) -> dict:
-    pa = np.array([analytic(int(k)) for k in dist.k])
-    return {
-        "m": dist.params.m,
-        "m0": dist.params.m0,
-        "t": dist.time,
-        "k": [int(k) for k in dist.k],
-        "p_exact": list(map(float, dist.probs)),
-        "p_analytic": list(map(float, pa)),
-        "abs_gap": list(map(float, np.abs(dist.probs - pa))),
-        "tail": dist.tail,
-    }
-
-
-def write_distribution_json(dist: MixtureDistribution, analytic, path,
-                            meta: dict | None = None) -> None:
-    obj = distribution_dict(dist, analytic)
-    if meta:
-        obj.update(meta)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")

@@ -11,47 +11,40 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chain import (
-    ChainParams,
-    network_distribution,
+from .chain import ChainParams, network_distribution
+from .ensemble import compare_to_exact, compare_to_limit, run_replicates
+from .errors import ConfigurationError, VerificationError
+from .graph import HOLME_KIM, SCHEMES, RunConfig, generate, verify_proposition
+from .limits import steady_state
+from .output import (
+    header,
+    write_degree_histogram,
     write_distribution_csv,
     write_distribution_json,
-)
-from .ensemble import (
-    compare_to_exact,
-    compare_to_limit,
-    run_replicates,
+    write_edge_list,
     write_report_json,
     write_stats_csv,
+    write_steady_csv,
+    write_steady_json,
 )
-from .errors import ConfigurationError, VerificationError
-from .graph import (
-    RunConfig,
-    generate,
-    verify_proposition,
-    write_degree_histogram,
-    write_edge_list,
-)
-from .limits import steady_state, write_steady_csv
 
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_VERIFICATION = 3
 
 
-def _meta(**kv) -> str:
-    parts = [f"bagrowth={__version__}"] + [f"{k}={v}" for k, v in kv.items()]
-    return "# " + " ".join(parts)
-
-
-def _add_shared(p, *, seed_required=True):
+def _add_shared(p):
     p.add_argument("--m0", type=int, default=3, help="initial clique size (>= 2)")
     p.add_argument("--m", type=int, default=1, help="edges per new vertex (1 <= m <= m0)")
     p.add_argument("--t", type=int, default=1000, help="number of growth steps")
-    p.add_argument("--seed", type=int, required=seed_required,
-                   help="explicit RNG seed (required for reproducibility)")
     p.add_argument("--out", required=True, help="output path base")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_growth(p):
+    """Options of the subcommands that grow random graphs."""
+    p.add_argument("--seed", type=int, required=True,
+                   help="explicit RNG seed (required for reproducibility)")
+    p.add_argument("--scheme", choices=SCHEMES, default=HOLME_KIM)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,10 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="grow one network; write edge list + histogram")
     _add_shared(g)
-    g.add_argument("--scheme", choices=("holme-kim", "sequential"), default="holme-kim")
+    _add_growth(g)
 
     e = sub.add_parser("exact", help="exact network degree law at time t")
-    _add_shared(e, seed_required=False)
+    _add_shared(e)
+    e.add_argument("--format", choices=("csv", "json"), default="csv")
     e.add_argument("--k-max", type=int, default=None, help="largest reported degree")
 
     s = sub.add_parser("steady", help="steady-state distribution table")
@@ -77,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compare", help="ensemble vs exact law vs limit, with fit report")
     _add_shared(c)
-    c.add_argument("--scheme", choices=("holme-kim", "sequential"), default="holme-kim")
+    _add_growth(c)
     c.add_argument("--replicates", type=int, default=50)
     c.add_argument("--k-max", type=int, default=None)
     c.add_argument("--threads", type=int, default=1,
@@ -96,9 +90,9 @@ def cmd_generate(args) -> int:
                        seed=args.seed)
     state = generate(config)
     state.check()
-    meta = _meta(m0=args.m0, m=args.m, t=args.t, seed=args.seed, scheme=args.scheme)
-    write_edge_list(state, args.out + ".edges", header=meta)
-    write_degree_histogram(state, args.out + ".hist.csv", header=meta)
+    head = header(m0=args.m0, m=args.m, t=args.t, seed=args.seed, scheme=args.scheme)
+    write_edge_list(state, args.out + ".edges", header=head)
+    write_degree_histogram(state, args.out + ".hist.csv", header=head)
     print(f"vertices={state.num_vertices} edges={len(state.edges)} "
           f"max_degree={int(state.degree.max())}")
     return 0
@@ -110,13 +104,12 @@ def cmd_exact(args) -> int:
     params = ChainParams(m=args.m, m0=args.m0)
     dist = network_distribution(args.t, params, k_max=args.k_max)
     analytic = lambda k: steady_state(k, args.m) if k >= args.m else 0.0
-    meta = _meta(m=args.m, m0=args.m0, t=args.t,
-                 k_max=int(dist.k[-1]))
     if args.format == "json":
-        write_distribution_json(dist, analytic, args.out,
-                                meta={"bagrowth": __version__})
+        write_distribution_json(dist, analytic, args.out)
     else:
-        write_distribution_csv(dist, analytic, args.out, header=meta)
+        write_distribution_csv(dist, analytic, args.out,
+                               header=header(m=args.m, m0=args.m0, t=args.t,
+                                             k_max=int(dist.k[-1])))
     gaps = np.abs(dist.probs - np.array([analytic(int(k)) for k in dist.k]))
     print(f"max_gap={gaps.max():.6g}")
     return 0
@@ -127,17 +120,11 @@ def cmd_steady(args) -> int:
         raise ConfigurationError("--m must be >= 1")
     if args.k_max < args.m:
         raise ConfigurationError("--k-max must be >= m (--m)")
-    meta = _meta(m=args.m, k_max=args.k_max)
     if args.format == "json":
-        import json
-        obj = {"bagrowth": __version__, "m": args.m,
-               "k": list(range(args.m, args.k_max + 1)),
-               "p": [steady_state(k, args.m) for k in range(args.m, args.k_max + 1)]}
-        with open(args.out, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        write_steady_json(args.m, args.k_max, args.out)
     else:
-        write_steady_csv(args.m, args.k_max, args.out, header=meta)
+        write_steady_csv(args.m, args.k_max, args.out,
+                         header=header(m=args.m, k_max=args.k_max))
     print(f"rows={args.k_max - args.m + 1}")
     return 0
 
@@ -153,12 +140,11 @@ def cmd_compare(args) -> int:
     report = compare_to_exact(stats, exact)
     limit_hi = min(8 * args.m, int(exact.k[-1]))
     limit_report = compare_to_limit(stats, args.m, (args.m, limit_hi), exact=exact)
-    meta = _meta(m0=args.m0, m=args.m, t=args.t, seed=args.seed,
-                 scheme=args.scheme, replicates=args.replicates)
-    write_stats_csv(stats, exact, args.out + ".stats.csv", header=meta)
+    head = header(m0=args.m0, m=args.m, t=args.t, seed=args.seed,
+                  scheme=args.scheme, replicates=args.replicates)
+    write_stats_csv(stats, exact, args.out + ".stats.csv", header=head)
     write_report_json(report, args.out + ".report.json",
-                      meta={"bagrowth": __version__,
-                            "limit_max_rel_gap": float(limit_report.max_gap),
+                      meta={"limit_max_rel_gap": float(limit_report.max_gap),
                             "limit_inconclusive": bool(limit_report.inconclusive)})
     print(f"chi2={report.chi2:.4g} dof={report.dof} threshold={report.threshold:.4g} "
           f"pass={report.passed} exponent={report.exponent:.3f} "

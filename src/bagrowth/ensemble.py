@@ -7,7 +7,6 @@ workers run it. Aggregation is an integer count merge in replicate
 order.
 """
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -260,29 +259,3 @@ def compare_to_limit(stats: EnsembleStats, m: int, k_range: tuple,
         rel_gaps=rel_gaps, inconclusive=inconclusive,
     )
 
-
-def write_stats_csv(stats: EnsembleStats, exact: MixtureDistribution,
-                    path, header: str = "") -> None:
-    """CSV 'k,count,freq,se,p_exact,p_limit' over the exact law's window."""
-    m = stats.config.m
-    counts, freq, se = stats.counts, stats.freq, stats.se
-    with open(path, "w") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("k,count,freq,se,p_exact,p_limit\n")
-        for k, p in zip(exact.k, exact.probs):
-            k = int(k)
-            c = int(counts[k]) if k < len(counts) else 0
-            f = float(freq[k]) if k < len(freq) else 0.0
-            s = float(se[k]) if k < len(se) else 0.0
-            pl = steady_state(k, m) if k >= m else 0.0
-            fh.write(f"{k},{c},{f:.12g},{s:.12g},{p:.12g},{pl:.12g}\n")
-
-
-def write_report_json(report: FitReport, path, meta: dict | None = None) -> None:
-    obj = report.as_dict()
-    if meta:
-        obj.update(meta)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from ._kernels import BLOCK, grow
+from ._kernels import grow
 from .errors import ConfigurationError, EnumerationBoundError, VerificationError
 
 HOLME_KIM = "holme-kim"
@@ -49,11 +49,6 @@ class GraphState:
     @property
     def total_degree(self) -> int:
         return int(self.degree.sum())
-
-    def label(self, idx: int) -> int:
-        if idx < self.num_initial:
-            return idx - self.num_initial
-        return idx - self.num_initial + 1
 
     def labels(self) -> np.ndarray:
         idx = np.arange(self.num_vertices)
@@ -212,7 +207,7 @@ def verify_proposition(enum_bound: int = DEFAULT_ENUM_BOUND) -> list:
                 want = Fraction(m * int(state.degree[idx]), total)
                 if p != want:
                     ok = False
-                    detail = (f"vertex {state.label(idx)}: enumerated {p}, "
+                    detail = (f"vertex {state.labels()[idx]}: enumerated {p}, "
                               f"proportional form {want}")
                     break
             if ok and sum(recv, Fraction(0)) != m:
@@ -221,23 +216,3 @@ def verify_proposition(enum_bound: int = DEFAULT_ENUM_BOUND) -> list:
             results.append({"state": name, "m": m, "ok": ok, "detail": detail})
     return results
 
-
-def write_edge_list(state: GraphState, path, header: str = "") -> None:
-    """One edge per line, 'u v' with signed labels, insertion order."""
-    lab = state.labels()
-    with open(path, "w") as fh:
-        if header:
-            fh.write(header + "\n")
-        for lo in range(0, len(state.edges), BLOCK):  # no labelled copy of all edges
-            rows = lab[state.edges[lo:lo + BLOCK]].tolist()
-            fh.write("".join(f"{u} {v}\n" for u, v in rows))
-
-
-def write_degree_histogram(state: GraphState, path, header: str = "") -> None:
-    hist = degree_histogram(state)
-    with open(path, "w") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("k,count\n")
-        for k in sorted(hist):
-            fh.write(f"{k},{hist[k]}\n")

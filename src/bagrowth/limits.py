@@ -35,8 +35,6 @@ def limit_recursion(prev, k: int):
 
     Works on Fractions (exact) and floats alike.
     """
-    if isinstance(prev, Fraction):
-        return prev * Fraction(k - 1, k + 2)
     return prev * (k - 1) / (k + 2)
 
 
@@ -96,26 +94,3 @@ def tail_exponent(k, p) -> float:
     slope, _ = np.polyfit(np.log(k), np.log(p), 1)
     return float(slope)
 
-
-def write_steady_csv(m: int, k_max: int, path, header: str = "") -> None:
-    """CSV 'k,p,ratio_to_prev' for k = m..k_max."""
-    with open(path, "w") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("k,p,ratio_to_prev\n")
-        prev = None
-        for k in range(m, k_max + 1):
-            p = steady_state(k, m)
-            ratio = "" if prev is None else f"{p / prev:.12g}"
-            fh.write(f"{k},{p:.12g},{ratio}\n")
-            prev = p
-
-
-def write_cesaro_csv(diag: CesaroDiagnostic, path, header: str = "") -> None:
-    """CSV 'n,ratio,gap'."""
-    with open(path, "w") as fh:
-        if header:
-            fh.write(header + "\n")
-        fh.write("n,ratio,gap\n")
-        for n, r, g in zip(diag.n, diag.ratios, diag.gaps):
-            fh.write(f"{n},{r:.12g},{g:.12g}\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bagrowth as bg
+from bagrowth import output
 from bagrowth._kernels import DBL_MIN, flush_top, roll_step
 
 P1 = bg.ChainParams(m=1, m0=3)   # d = 6
@@ -330,7 +331,7 @@ def test_exports(tmp_path):
     dist = bg.network_distribution(100, P1)
     analytic = lambda k: bg.steady_state(k, 1)
     csv_path = tmp_path / "d.csv"
-    bg.chain.write_distribution_csv(dist, analytic, csv_path, header="# m=1 m0=3 t=100")
+    output.write_distribution_csv(dist, analytic, csv_path, header="# m=1 m0=3 t=100")
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "# m=1 m0=3 t=100"
     assert lines[1] == "k,p_exact,p_analytic,abs_gap"
@@ -339,7 +340,7 @@ def test_exports(tmp_path):
     assert abs(float(pe) - float(pa)) == pytest.approx(float(gap), abs=1e-12)
 
     json_path = tmp_path / "d.json"
-    bg.chain.write_distribution_json(dist, analytic, json_path)
+    output.write_distribution_json(dist, analytic, json_path)
     import json
     obj = json.loads(json_path.read_text())
     assert obj["m"] == 1 and obj["t"] == 100

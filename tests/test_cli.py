@@ -63,6 +63,19 @@ def test_generate_checks_the_graph_it_writes(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "g.edges").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "1", "--format", "json"],
+    ["compare", "--seed", "1", "--format", "json"],
+    ["exact", "--seed", "1"],
+])
+def test_subcommands_reject_options_they_do_not_read(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_exact_csv(tmp_path, capsys):
     out = tmp_path / "exact.csv"
     code = run(["exact", "--m", "1", "--m0", "3", "--t", "2000",

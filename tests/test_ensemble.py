@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as sps
 
 import bagrowth as bg
+from bagrowth import output
 from bagrowth.ensemble import (
     CHI2_LEVEL,
     CHUNKSIZE,
@@ -192,11 +193,11 @@ def test_report_serialization(tmp_path):
     exact = bg.network_distribution(100, bg.ChainParams(m=1, m0=3))
     report = bg.compare_to_exact(stats, exact)
     path = tmp_path / "report.json"
-    bg.ensemble.write_report_json(report, path, meta={"note": "x"})
+    output.write_report_json(report, path, meta={"note": "x"})
     obj = json.loads(path.read_text())
     assert set(obj) >= {"chi2", "dof", "threshold", "pass", "exponent", "max_gap"}
     stats_path = tmp_path / "stats.csv"
-    bg.ensemble.write_stats_csv(stats, exact, stats_path, header="# h")
+    output.write_stats_csv(stats, exact, stats_path, header="# h")
     lines = stats_path.read_text().strip().split("\n")
     assert lines[1] == "k,count,freq,se,p_exact,p_limit"
     row = lines[2].split(",")

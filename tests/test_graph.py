@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bagrowth as bg
+from bagrowth import output
 from bagrowth._kernels import grow
 from bagrowth.graph import star_graph, proposition_states
 
@@ -226,6 +227,21 @@ def test_verify_proposition_suite():
     assert names == {"K_3", "K_4", "K_5", "S_4", "K_4+2steps"}
 
 
+def test_verify_proposition_names_the_failing_vertex_by_label(monkeypatch):
+    exact = bg.graph.attachment_probability_exact
+
+    def last_vertex_off(state, m, enum_bound):
+        recv = exact(state, m, enum_bound=enum_bound)
+        recv[-1] += Fraction(1, 1000)
+        return recv
+
+    monkeypatch.setattr(bg.graph, "attachment_probability_exact", last_vertex_off)
+    details = {(r["state"], r["m"]): r["detail"] for r in bg.graph.verify_proposition()}
+    # K_3's last index is initial vertex -1; K_4+2steps' is the vertex added at step 2
+    assert details["K_3", 1] == "vertex -1: enumerated 1003/3000, proportional form 1/3"
+    assert details["K_4+2steps", 1].startswith("vertex 2: enumerated ")
+
+
 def test_schemes_agree_in_law_at_m1():
     # with m = 1 both schemes attach purely preferentially
     trials = 4000
@@ -256,8 +272,8 @@ def test_exports(tmp_path):
     g = bg.generate(bg.RunConfig(m0=3, m=1, t=5, seed=3))
     edge_path = tmp_path / "g.edges"
     hist_path = tmp_path / "g.hist.csv"
-    bg.graph.write_edge_list(g, edge_path, header="# meta")
-    bg.graph.write_degree_histogram(g, hist_path, header="# meta")
+    output.write_edge_list(g, edge_path, header="# meta")
+    output.write_degree_histogram(g, hist_path, header="# meta")
     lines = edge_path.read_text().strip().split("\n")
     assert lines[0] == "# meta"
     assert len(lines) == 1 + 8  # 3 initial + 5 grown edges

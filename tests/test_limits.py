@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bagrowth as bg
+from bagrowth import output
 
 
 def test_steady_state_m1_values():
@@ -136,7 +137,7 @@ def test_tail_exponent_errors():
 
 def test_exports(tmp_path):
     p = tmp_path / "steady.csv"
-    bg.limits.write_steady_csv(2, 10, p, header="# m=2")
+    output.write_steady_csv(2, 10, p, header="# m=2")
     lines = p.read_text().strip().split("\n")
     assert lines[1] == "k,p,ratio_to_prev"
     k3 = lines[3].split(",")
@@ -144,5 +145,5 @@ def test_exports(tmp_path):
 
     d = tmp_path / "cesaro.csv"
     diag = bg.cesaro_ratios(5, bg.ChainParams(m=1, m0=3))
-    bg.limits.write_cesaro_csv(diag, d)
+    output.write_cesaro_csv(diag, d)
     assert d.read_text().startswith("n,ratio,gap\n1,0.666666666667")
