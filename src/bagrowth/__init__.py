@@ -11,7 +11,6 @@ from .chain import (
     evolve_vertex_exact,
     first_passage,
     network_distribution,
-    network_distribution_naive,
     p_via_first_passage,
     passage_curve,
     transition,
@@ -45,8 +44,7 @@ from .limits import (
 __all__ = [
     "__version__",
     "ChainParams", "DegreeLaw", "MixtureDistribution", "closed_form_pmt",
-    "evolve_vertex", "evolve_vertex_exact", "first_passage",
-    "network_distribution", "network_distribution_naive",
+    "evolve_vertex", "evolve_vertex_exact", "first_passage", "network_distribution",
     "p_via_first_passage", "passage_curve", "transition",
     "EnsembleStats", "FitReport", "compare_to_exact", "compare_to_limit",
     "run_replicates",

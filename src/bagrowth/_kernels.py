@@ -4,8 +4,8 @@ Growth consumes pre-drawn uniform variates, m per step, so a fixed seed
 gives a fixed graph. There is one kernel per scheme: holme-kim at m=1
 resolves every target at once by pointer jumping over the endpoint
 list; holme-kim at m>1 runs a Python step loop of O(m) work per step;
-sequential draws each target with one NumPy cumulative sum over the
-frozen degrees. ``grow`` dispatches between them.
+sequential draws each target by a descent of a Fenwick tree over the
+integer degrees. ``grow`` dispatches between them.
 """
 
 from array import array
@@ -15,43 +15,23 @@ import numpy as np
 
 NUMBA_ENABLED = False  # no JIT path exists; perfbench/job.py still records this flag
 DBL_MIN = np.finfo(np.float64).tiny  # smallest normal double, 2.2e-308
+ROLL_BLOCK = 8  # steps that share one transition table
 
 
-def roll_step(seg, ks, den, up, stay, flux):
-    """One step of the degree chain, in place on the rows of seg.
+def transition_tables(buf, ks, first_step, steps, d):
+    """(up, stay, buf): up[b, k] = ks[k] / (2 * (first_step + b) + d), stay = 1 - up.
 
-    seg is a (rows, w) window of laws over the degrees ks (length w);
-    mass at k moves to k+1 with probability k/den. up, stay (length w)
-    and flux ((rows, w-1)) are scratch buffers. Each cell gets
-    seg[k]*stay[k] + seg[k-1]*up[k-1], the same operations in the same
-    order as a freshly allocated ``nxt = seg*stay; nxt[1:] += ...``, so
-    the bits match that form. The first cell receives no flux from
-    below, so no mass may sit below the window, and the last cell must
-    lie past the top cell holding mass, to receive its flux.
+    Both (steps, len(ks)) tables are views of buf, returned regrown to 1.5
+    times the need when too small. Each cell is the division and
+    subtraction a single step makes, so blocked steps keep their bits.
     """
-    np.divide(ks, den, out=up)
+    size = steps * len(ks)
+    if len(buf) < 2 * size:
+        buf = np.empty(3 * size)
+    up, stay = buf[:2 * size].reshape(2, steps, len(ks))
+    np.divide(ks, (2.0 * np.arange(first_step, first_step + steps) + d)[:, None], out=up)
     np.subtract(1.0, up, out=stay)
-    np.multiply(seg[:, :-1], up[:-1], out=flux)
-    np.multiply(seg, stay, out=seg)
-    np.add(seg[:, 1:], flux, out=seg[:, 1:])
-
-
-def flush_top(rows, top):
-    """Lower the window top past cells below DBL_MIN in every row of rows.
-
-    rows is a sequence of 1-D laws. The flushed cells are set to exact 0
-    and the new top is returned. Mass only moves up, so a flushed cell
-    changes no cell below it, while subnormal cells would slow every
-    later step's arithmetic several times over.
-    """
-    while top > 0:
-        for row in rows:
-            if row[top] >= DBL_MIN:
-                return top
-        for row in rows:
-            row[top] = 0.0
-        top -= 1
-    return top
+    return up, stay, buf
 
 
 def mixture_roll(m, m0, d, t):
@@ -60,33 +40,45 @@ def mixture_roll(m, m0, d, t):
     Returns (s_new, s_init): sums of per-vertex laws over the t new
     vertices and the m0 initial vertices. Network law = (s_new+s_init)/(t+m0).
 
-    Both sums roll as one (2, kcap+1) array, stepped in place over
-    [0, top+1], where top is the last degree at which either sum holds a
-    normal double (>= DBL_MIN, 2.2e-308); the window grows by at most
-    one cell per step. Mass that falls below DBL_MIN at the top is set
-    to exact 0, where gradual underflow would send it a few hundred
+    Both sums roll as one (2, kcap+1) array, in place: each step sets
+    cell k to seg[k]*stay[k] + seg[k-1]*up[k-1] over [0, top+1], where
+    top is the last degree at which either sum holds a normal double
+    (>= DBL_MIN, 2.2e-308). Mass that falls below DBL_MIN at the top is
+    set to exact 0, where gradual underflow would send it a few hundred
     steps later anyway. Against the full-width roll, every cell holding
     >= 1e-280 keeps its bits and the L1 gap stays below t*DBL_MIN (both
-    tested). Cost is O(t * top) with no subnormal arithmetic; top is
-    about 4600 at t=1e4 and 11100 at t=5e4 (m=1, m0=3), against
-    kcap = max(m, m0-1) + t.
+    tested). Steps run in blocks of ROLL_BLOCK that share one transition
+    table and one window, wide enough for the block's last top + 1 (top
+    grows by at most one cell per step); a step is three in-place ufuncs
+    on fixed views. Cells above top + 1 hold +0 and keep it, so the wider
+    window changes no bit. Cost is O(t * top) with no subnormal
+    arithmetic; top is about 4600 at t=1e4 and 11100 at t=5e4 (m=1,
+    m0=3), against kcap = max(m, m0-1) + t.
     """
     kcap = max(m, m0 - 1) + t
     ks = np.arange(kcap + 1, dtype=np.float64)
     sums = np.zeros((2, kcap + 1))
     s_new, s_init = sums
     s_init[m0 - 1] = float(m0)
-    up = np.empty(kcap + 1)
-    stay = np.empty(kcap + 1)
-    flux = np.empty((2, kcap))
-    rows = (s_new, s_init)
     top = max(m, m0 - 1)
-    for step in range(t):
-        hi = top + 2
-        roll_step(sums[:, :hi], ks[:hi], 2.0 * step + d, up[:hi], stay[:hi],
-                  flux[:, :hi - 1])
-        s_new[m] += 1.0
-        top = flush_top(rows, hi - 1)
+    buf = np.empty(0)
+    mul, add = np.multiply, np.add  # a positional out skips keyword parsing
+    for first in range(0, t, ROLL_BLOCK):
+        steps = min(ROLL_BLOCK, t - first)
+        w = top + steps + 1  # top <= max(m, m0-1) + first, so w <= kcap + 1
+        up, stay, buf = transition_tables(buf, ks[:w], first, steps, d)
+        seg = sums[:, :w]
+        below, above = seg[:, :-1], seg[:, 1:]
+        flux = np.empty((2, w - 1))
+        for up_b, stay_b in zip(up[:, :-1], stay):
+            mul(below, up_b, flux)
+            mul(seg, stay_b, seg)
+            add(above, flux, above)
+            s_new[m] += 1.0
+            top += 1
+            while top > 0 and s_new[top] < DBL_MIN and s_init[top] < DBL_MIN:
+                s_new[top] = s_init[top] = 0.0
+                top -= 1
     return s_new, s_init
 
 
@@ -186,31 +178,50 @@ def _grow_holme_kim(m0, m, t, uniforms):
 def _grow_sequential(m0, m, t, uniforms):
     """Sequential growth: m draws proportional to the degrees frozen at step start.
 
-    Draws are without replacement: a picked vertex's weight drops to 0.
-    Each draw picks the first vertex whose cumulative weight exceeds
-    u * total, by a binary search of the cumulative sum; the weights are
-    integer degrees, so every sum is exact below 2**53. When u * total
-    rounds up to the total, the last vertex still holding weight is picked.
+    Draws are without replacement: a picked vertex's weight drops to 0
+    until the step ends. The integer weights sit in a Fenwick tree, so
+    each draw and each weight change costs O(log n): a draw descends the
+    tree to the first vertex whose cumulative weight exceeds u * total,
+    comparing Python ints with the float u * total exactly. A draw above
+    total - 1 is clamped to it: that picks the same vertex, the last one
+    still holding weight, also when u * total rounds up to total.
     """
     e_init = m0 * (m0 - 1) // 2
     edges = np.empty((e_init + m * t, 2), np.int64)
     edges[:e_init, 0], edges[:e_init, 1] = np.triu_indices(m0, 1)
     edges[e_init:, 0] = np.repeat(np.arange(m0, m0 + t), m)
-    degree = np.zeros(m0 + t)
-    degree[:m0] = m0 - 1
-    for step, row in enumerate(_rows(uniforms)):
-        w = degree[:m0 + step].copy()
-        targets = edges[e_init + m * step:e_init + m * (step + 1), 1]
-        for j, u in enumerate(row):
-            acc = np.cumsum(w)
-            pick = int(np.searchsorted(acc, u * acc[-1], side="right"))
-            if pick == len(w):
-                pick = int(np.flatnonzero(w)[-1])
-            targets[j] = pick
-            w[pick] = 0.0
-        degree[targets] += 1.0
-        degree[m0 + step] = m
-    return edges, degree.astype(np.int64)
+    size = 1 << (m0 + t).bit_length()  # tree[size] holds the total, never passed
+    tree = [0] * (size + 1)  # tree[i] sums the weights of vertices (i - lowbit(i), i]
+    degree, targets = [m0 - 1] * m0 + [0] * t, []
+
+    def add(v, delta):
+        v += 1
+        while v <= size:
+            tree[v] += delta
+            v += v & -v
+
+    for v in range(m0):
+        add(v, m0 - 1)
+    for new, row in enumerate(_rows(uniforms), m0):
+        total, picks = m0 * (m0 - 1) + 2 * m * (new - m0), []
+        for u in row:
+            x, pos, acc, bit = min(u * total, total - 1), 0, 0, size
+            while bit:
+                if acc + tree[pos + bit] <= x:
+                    pos += bit
+                    acc += tree[pos]
+                bit >>= 1
+            picks.append(pos)
+            add(pos, -degree[pos])
+            total -= degree[pos]
+        for v in picks:
+            degree[v] += 1
+            add(v, degree[v])
+        degree[new] = m
+        add(new, m)
+        targets += picks
+    edges[e_init:, 1] = targets
+    return edges, np.array(degree, np.int64)
 
 
 def grow(m0, m, t, uniforms, sequential):

@@ -16,7 +16,7 @@ from math import exp
 
 import numpy as np
 
-from ._kernels import flush_top, mixture_roll, roll_step
+from ._kernels import DBL_MIN, ROLL_BLOCK, mixture_roll, transition_tables
 from .errors import ConfigurationError, VerificationError
 
 ROW_TOL = 1e-12
@@ -144,43 +144,46 @@ def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
     New vertices start as a point mass at degree m at time t = i; initial
     vertices start at degree m0-1 at time 0. Each step rolls only the
     window [start_degree, top+1], where top is the last degree holding a
-    normal double; mass below DBL_MIN (2.2e-308) at the top is set to
-    exact 0, as in ``_kernels.mixture_roll``. Every cell that the
-    full-width roll holds at >= 1e-280 keeps its bits. Each row is stored
-    over [start_degree, top] only (see DegreeLaw); every other degree is
+    normal double; mass below DBL_MIN (2.2e-308) at the top is left out,
+    as in ``_kernels.mixture_roll``. Every cell that the full-width roll
+    holds at >= 1e-280 keeps its bits. Each row is stored over
+    [start_degree, top] only (see DegreeLaw); every other degree is
     exact 0, so support stays structurally inside
-    [start_degree, start_degree + t - start_time]. Cost is O(steps * top)
+    [start_degree, start_degree + t - start_time]. Each step reads row j
+    of the band and writes row j+1 straight after it, with transition
+    tables shared by blocks of ROLL_BLOCK steps. Cost is O(steps * top)
     in time and at most steps * top floats in memory: 44 MB for vertex 1
     of m=1, m0=3 at t_max=3700, against 110 MB for the dense table.
     """
     start, deg0 = _start_of(i, params)
     if t_max < start:
         raise ConfigurationError("t_max precedes the vertex's start time")
-    kmax = deg0 + (t_max - start)
     steps = t_max - start + 1
     # row j spans at most j+1 degrees; pages past the band are never touched
     values = np.empty(steps * (steps + 1) // 2)
     offsets = np.empty(steps + 1, dtype=np.int64)
     values[0] = 1.0
     offsets[:2] = 0, 1
-    ks = np.arange(kmax + 1, dtype=np.float64)
-    row = np.zeros((1, kmax + 1))
-    row[0, deg0] = 1.0
-    rows = tuple(row)
-    up = np.empty(kmax + 1)
-    stay = np.empty(kmax + 1)
-    flux = np.empty((1, kmax))
-    top, end = deg0, 1
-    for idx, t in enumerate(range(start, t_max)):
-        hi = top + 2
-        roll_step(row[:, deg0:hi], ks[deg0:hi], 2.0 * t + params.d,
-                  up[deg0:hi], stay[deg0:hi], flux[:, deg0:hi - 1])
-        top = flush_top(rows, hi - 1)
-        lo, end = end, end + top + 1 - deg0
-        values[lo:end] = row[0, deg0:top + 1]
-        offsets[idx + 2] = end
+    ks = np.arange(deg0, deg0 + steps, dtype=np.float64)
+    lo, n = 0, 1  # the current row is values[lo:lo + n], degrees deg0..top
+    buf = np.empty(0)
+    mul, add = np.multiply, np.add  # a positional out skips keyword parsing
+    for first in range(start, t_max, ROLL_BLOCK):
+        count = min(ROLL_BLOCK, t_max - first)
+        up, stay, buf = transition_tables(buf, ks[:n + count - 1], first, count, params.d)
+        kept = np.empty(n + count - 1)
+        for j, up_b, stay_b in zip(range(first - start + 2, steps + 1), up, stay):
+            src, dst = values[lo:lo + n], values[lo + n:lo + 2 * n + 1]
+            mul(src, up_b[:n], dst[1:])  # the flux; cell top+1 gets it alone
+            dst[0] = 0.0  # no flux into the start degree; +0 + kept is kept
+            mul(src, stay_b[:n], kept[:n])
+            add(dst[:n], kept[:n], dst[:n])
+            lo, n = lo + n, n + 1
+            while n > 1 and values[lo + n - 1] < DBL_MIN:
+                n -= 1
+            offsets[j] = lo + n  # row j-1 ends here
     return DegreeLaw(vertex=i, start_time=start, start_degree=deg0,
-                     values=values[:end], offsets=offsets)
+                     values=values[:lo + n], offsets=offsets)
 
 
 def evolve_vertex_exact(i: int, t_max: int, params: ChainParams) -> list:
@@ -333,25 +336,6 @@ def network_distribution(t: int, params: ChainParams,
         raise VerificationError(f"network law at t={t} has mean degree "
                                 f"{dist.mean_degree!r}, not {want_mean!r}")
     return dist
-
-
-def network_distribution_naive(t: int, params: ChainParams) -> np.ndarray:
-    """O(t^2) reference: average evolve_vertex laws vertex by vertex.
-
-    Returns the full-support probability vector; verification oracle for
-    the rolled solver.
-    """
-    kcap = max(params.m, params.m0 - 1) + t
-    acc = np.zeros(kcap + 1)
-    for i in range(-params.m0, 0):
-        law = evolve_vertex(i, t, params)
-        row = law.row(t)
-        acc[: len(row)] += row
-    for i in range(1, t + 1):
-        law = evolve_vertex(i, t, params)
-        row = law.row(t)
-        acc[: len(row)] += row
-    return acc / (t + params.m0)
 
 
 def min_degree_prob_at_t1(params: ChainParams) -> float:

@@ -27,7 +27,10 @@ def steady_state_exact(k: int, m: int) -> Fraction:
 
 
 def steady_state(k: int, m: int) -> float:
-    return float(steady_state_exact(k, m))
+    """P(k) as the nearest double: Python rounds int / int correctly."""
+    if m < 1 or k < m:
+        steady_state_exact(k, m)  # raises the ConfigurationError
+    return 2 * m * (m + 1) / (k * (k + 1) * (k + 2))
 
 
 def limit_recursion(prev, k: int):

@@ -1,6 +1,7 @@
 import os
 
 import pytest
+import roll_reference
 
 import bagrowth
 
@@ -37,3 +38,19 @@ def force_pool(monkeypatch):
         return sizes
 
     return force
+
+
+@pytest.fixture
+def flushes(monkeypatch):
+    """The per-step reference's flushes, True where one zeroed a nonzero cell."""
+    found = []
+    flush_top = roll_reference.flush_top
+
+    def recording(rows, top):
+        held = any(row[top] for row in rows)
+        new = flush_top(rows, top)
+        found.append(held and new < top)
+        return new
+
+    monkeypatch.setattr(roll_reference, "flush_top", recording)
+    return found

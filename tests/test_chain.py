@@ -5,7 +5,9 @@ import pytest
 
 import bagrowth as bg
 from bagrowth import output
-from bagrowth._kernels import DBL_MIN, flush_top, roll_step
+from bagrowth._kernels import DBL_MIN
+import roll_reference
+from roll_reference import flush_top, roll_step
 
 P1 = bg.ChainParams(m=1, m0=3)   # d = 6
 P2 = bg.ChainParams(m=2, m0=5)   # N0 = 20, d = 10
@@ -182,6 +184,24 @@ def test_band_keeps_the_dense_tables_bits(i, t_max, params, ks, ts):
             assert law.prob(k, t) == want
 
 
+B = bg.chain.ROLL_BLOCK
+
+
+@pytest.mark.parametrize("span", [0, 1, B - 1, B, B + 1, 3000])
+@pytest.mark.parametrize("m,m0", [(1, 2), (1, 3), (2, 4), (3, 5), (3, 3), (2, 2)])
+def test_evolve_vertex_matches_per_step_reference(m, m0, span, flushes):
+    # the band and its offsets, every cell, across block edges; at span
+    # 3000 the reference flushes subnormal mass at the top
+    params = bg.ChainParams(m=m, m0=m0)
+    for i in (-m0, -1, 1, 5):
+        t_max = max(i, 0) + span
+        values, offsets = roll_reference.evolve_band(i, t_max, params)
+        assert any(flushes) == (span == 3000)
+        law = bg.evolve_vertex(i, t_max, params)
+        assert law.offsets.tobytes() == offsets.tobytes()
+        assert law.values.tobytes() == values.tobytes()
+
+
 def test_band_holds_only_the_normal_cells():
     law = bg.evolve_vertex(1, 3700, P1)
     widths = np.diff(law.offsets)
@@ -301,10 +321,19 @@ def test_network_distribution_checks_mean_degree(monkeypatch):
         bg.network_distribution(50, P1)
 
 
+def _network_distribution_naive(t, params):
+    """O(t^2) reference: the network law averaged vertex by vertex over evolve_vertex."""
+    acc = np.zeros(max(params.m, params.m0 - 1) + t + 1)
+    for i in [*range(-params.m0, 0), *range(1, t + 1)]:
+        row = bg.evolve_vertex(i, t, params).row(t)
+        acc[:len(row)] += row
+    return acc / (t + params.m0)
+
+
 def test_fast_solver_matches_naive_t300():
     # required before trusting the rolled solver at larger t
     for params in (P1, P2):
-        naive = bg.network_distribution_naive(300, params)
+        naive = _network_distribution_naive(300, params)
         fast = bg.network_distribution(300, params)
         np.testing.assert_allclose(fast.probs_full, naive, atol=1e-12)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bagrowth import _kernels
+import roll_reference
 
 
 # The step loop that once grew every case, kept unchanged as the oracle of
@@ -283,3 +284,19 @@ def test_mixture_roll_bits_without_underflow(m, m0, t):
     for g, w in zip(_kernels.mixture_roll(m, m0, d, t), _roll_full_width(m, m0, d, t)):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+ROLL_CASES = [(1, 2), (1, 3), (2, 4), (3, 5), (3, 3), (2, 2)]
+B = _kernels.ROLL_BLOCK
+
+
+@pytest.mark.parametrize("t", [0, 1, B - 1, B, B + 1, 3000, 6000])
+@pytest.mark.parametrize("m,m0", ROLL_CASES)
+def test_mixture_roll_matches_per_step_reference(m, m0, t, flushes):
+    # every cell, across block edges; past t=3000 subnormal mass is flushed
+    d = m0 * (m0 - 1) / m
+    want = roll_reference.mixture_roll(m, m0, d, t)
+    assert any(flushes) == (t >= 3000)
+    for g, w in zip(_kernels.mixture_roll(m, m0, d, t), want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()

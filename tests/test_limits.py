@@ -31,6 +31,16 @@ def test_steady_state_domain():
         bg.steady_state(0, 0)
 
 
+def test_steady_state_is_the_nearest_double():
+    # one int division, correctly rounded, also where k(k+1)(k+2) > 2**53
+    ks = [*range(1, 400), 208_062, 208_063, 208_064, 10**6 + 7, 123_456_789, 10**9]
+    for m in (1, 2, 3, 7, 29):
+        for k in ks:
+            if k >= m:
+                assert bg.steady_state(k, m) == float(bg.steady_state_exact(k, m))
+    assert 208_063 * 208_064 * 208_065 > 2**53 > 208_062 * 208_063 * 208_064
+
+
 @settings(max_examples=50, deadline=None)
 @given(m=st.integers(1, 8), k=st.integers(1, 5000))
 def test_steady_state_cubic_identity(m, k):
