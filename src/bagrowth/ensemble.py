@@ -7,11 +7,13 @@ workers run it. Aggregation is an integer count merge in replicate
 order.
 """
 
+import os
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from scipy import special
+from numpy.random import SeedSequence, default_rng
 
 from . import graph
 from .chain import ChainParams, MixtureDistribution, network_distribution
@@ -20,6 +22,7 @@ from .graph import SEQUENTIAL, RunConfig
 from .limits import steady_state, tail_exponent
 
 CHI2_LEVEL = 0.999
+CHI2_TABLE_DOF = 2000  # chi2_0999.npy holds the CHI2_LEVEL quantile for dof 1..2000
 CHUNKSIZE = 8  # replicates per task sent to a pool worker
 # Import, start and teardown of a 2-worker process pool running a trivial
 # map from a 55-MB CLI process: 3.4 + 9-10 ms (2 vCPUs, Linux fork).
@@ -28,7 +31,7 @@ POOL_START_S = 0.013
 
 def _replicate_counts(args):
     config, child = args
-    rng = np.random.default_rng(child)
+    rng = default_rng(child)
     uniforms = rng.random((config.t, config.m))
     # only degrees are pooled, so no GraphState is built
     _, degree = graph.grow(config.m0, config.m, config.t, uniforms,
@@ -100,7 +103,7 @@ def run_replicates(config: RunConfig, threads: int = 1) -> EnsembleStats:
     most `threads` workers only when ``fan_out`` finds the pool pays for
     its start. Either way the counts are the same.
     """
-    children = np.random.SeedSequence(config.seed).spawn(config.replicates)
+    children = SeedSequence(config.seed).spawn(config.replicates)
     jobs = [(config, child) for child in children]
     start = time.perf_counter()
     per_rep = [_replicate_counts(jobs[0])]
@@ -134,14 +137,19 @@ class FitReport:
 
     def as_dict(self) -> dict:
         return {
-            "chi2": None if np.isnan(self.chi2) else float(self.chi2),
+            "chi2": _finite_or_none(self.chi2),
             "dof": int(self.dof),
-            "threshold": None if np.isnan(self.threshold) else float(self.threshold),
+            "threshold": _finite_or_none(self.threshold),
             "pass": bool(self.passed),
-            "exponent": float(self.exponent),
+            "exponent": _finite_or_none(self.exponent),
             "max_gap": float(self.max_gap),
             "inconclusive": bool(self.inconclusive),
         }
+
+
+def _finite_or_none(x: float) -> float | None:
+    """x as a JSON number, or None (null) where it is nan or infinite."""
+    return float(x) if np.isfinite(x) else None
 
 
 def _merge_cells(observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0):
@@ -178,13 +186,27 @@ def _exponent_window(stats: EnsembleStats, lo: int, hi: int) -> float:
     return tail_exponent(ks[sel], freq[sel])
 
 
+@cache
+def _chi2_table() -> np.ndarray:
+    return np.load(os.path.join(os.path.dirname(__file__), "chi2_0999.npy"))
+
+
 def chi2_threshold(level: float, dof: int) -> float:
     """The `level` quantile of the chi-square law with `dof` degrees of freedom.
 
-    This is how scipy.stats.chi2.ppf computes it, bit for bit; calling
-    scipy.special directly keeps the slow scipy.stats import out of
-    every CLI process.
+    The value is ``2*gammaincinv(dof/2, level)``, which is how
+    scipy.stats.chi2.ppf computes it, bit for bit. At level ==
+    CHI2_LEVEL and dof in 1..CHI2_TABLE_DOF it is read from the table
+    ``chi2_0999.npy`` (entry dof-1, loaded on the first call), so no
+    ``compare`` inside that range imports scipy; only outside it is
+    scipy.special imported. The table was made with scipy 1.17.1 by::
+
+        python -c "import numpy as np, scipy.special as s; np.save('src/bagrowth/chi2_0999.npy', 2 * s.gammaincinv(np.arange(1, 2001) / 2, 0.999))"
     """
+    if level == CHI2_LEVEL and dof in range(1, CHI2_TABLE_DOF + 1):
+        return float(_chi2_table()[int(dof) - 1])
+    from scipy import special
+
     return float(2.0 * special.gammaincinv(dof / 2.0, level))
 
 
@@ -194,7 +216,9 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
 
     Cells follow the expected-count >= 5 rule with adjacent merging; the
     report flags failure when the statistic exceeds the `level` quantile
-    of the chi-square law with the matching degrees of freedom.
+    of the chi-square law with the matching degrees of freedom. When the
+    cells merge into one group there are no degrees of freedom to test:
+    the report is inconclusive, with no threshold, and does not pass.
     """
     cfg = stats.config
     if (cfg.m, cfg.m0, cfg.t) != (exact.params.m, exact.params.m0, exact.time):
@@ -209,15 +233,16 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
     obs_g, exp_g = _merge_cells(observed[lo:], expected[lo:])
     chi2 = float(((obs_g - exp_g) ** 2 / exp_g).sum())
     dof = len(obs_g) - 1
-    threshold = chi2_threshold(level, dof)
+    testable = dof >= 1  # a single group leaves no degree of freedom
+    threshold = chi2_threshold(level, dof) if testable else float("nan")
     m = cfg.m
     freq = stats.freq
     upto = min(len(freq) - 1, len(exact.probs_full) - 1)
     gaps = np.abs(freq[m: upto + 1] - exact.probs_full[m: upto + 1])
     return FitReport(
-        chi2=chi2, dof=dof, threshold=threshold, passed=chi2 <= threshold,
+        chi2=chi2, dof=dof, threshold=threshold, passed=testable and chi2 <= threshold,
         exponent=_exponent_window(stats, 5 * m, 50 * m),
-        max_gap=float(gaps.max()) if len(gaps) else 0.0,
+        max_gap=float(gaps.max()) if len(gaps) else 0.0, inconclusive=not testable,
     )
 
 

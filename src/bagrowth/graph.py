@@ -18,6 +18,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from ._kernels import grow
 from .errors import ConfigurationError, EnumerationBoundError, VerificationError
@@ -118,7 +119,7 @@ def generate(config: RunConfig) -> GraphState:
     Uniform variates come from PCG64 seeded by SeedSequence(config.seed),
     exactly m per step, so results are reproducible across platforms.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    rng = default_rng(SeedSequence(config.seed))
     uniforms = rng.random((config.t, config.m))
     edges, degree = grow(config.m0, config.m, config.t, uniforms,
                          config.scheme == SEQUENTIAL)

@@ -40,8 +40,9 @@ def write_csv(path, columns, rows, header: str = "") -> None:
 
 
 def write_json(path, obj) -> None:
+    """Write obj as strict JSON: a nan or infinite number raises ValueError."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -214,3 +216,43 @@ def test_verify_proposition(capsys):
 
 def test_verify_proposition_bound_validation(capsys):
     assert run(["verify-proposition", "--enum-bound", "2"]) == 1
+
+
+def test_compare_report_is_strict_json(tmp_path):
+    # t=1: one chi-square group, and too few tail points for an exponent
+    out = tmp_path / "c"
+    assert run(["compare", "--m0", "3", "--m", "1", "--t", "1", "--replicates", "2",
+                "--seed", "1", "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = json.loads((tmp_path / "c.report.json").read_text(), parse_constant=refuse)
+    assert report["exponent"] is None
+    assert (report["dof"], report["threshold"]) == (0, None)
+    assert (report["pass"], report["inconclusive"]) == (False, True)
+
+
+RUN_AND_LIST_SCIPY = """
+import sys
+from bagrowth.cli import main
+code = main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--m0", "3", "--m", "2", "--t", "300", "--seed", "1"],
+    ["exact", "--m0", "3", "--m", "1", "--t", "300"],
+    ["steady", "--m", "2", "--k-max", "50"],
+    ["verify-proposition"],
+    # compare-ensemble's command at a tenth of its size
+    ["compare", "--m0", "3", "--m", "1", "--t", "500", "--replicates", "2",
+     "--threads", "2", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_commands_import_no_scipy(tmp_path, src_env, argv):
+    if argv[0] != "verify-proposition":
+        argv = argv + ["--out", str(tmp_path / "o")]
+    out = subprocess.run([sys.executable, "-c", RUN_AND_LIST_SCIPY, *argv],
+                         capture_output=True, text=True, check=True, env=src_env)
+    assert out.stdout.splitlines()[-1] == "0 []"

@@ -4,12 +4,14 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 import bagrowth as bg
-from bagrowth import output
+from bagrowth import ensemble, output
 from bagrowth.ensemble import (
     CHI2_LEVEL,
+    CHI2_TABLE_DOF,
     CHUNKSIZE,
     POOL_START_S,
     _merge_cells,
@@ -109,6 +111,19 @@ def test_chi2_threshold_is_scipy_stats_quantile():
         assert chi2_threshold(CHI2_LEVEL, dof) == sps.chi2.ppf(CHI2_LEVEL, dof)
 
 
+@pytest.mark.parametrize("level, dof", [(CHI2_LEVEL, 2001), (CHI2_LEVEL, 5000),
+                                        (0.99, 1), (0.99, 61), (0.99, 2000)])
+def test_chi2_threshold_outside_the_table_is_scipy_stats_quantile(level, dof):
+    assert chi2_threshold(level, dof) == sps.chi2.ppf(level, dof)
+
+
+def test_chi2_table_is_its_recipe():
+    table = ensemble._chi2_table()
+    dof = np.arange(1, CHI2_TABLE_DOF + 1)
+    assert table.dtype == np.float64 and table.shape == (CHI2_TABLE_DOF,)
+    assert table.tobytes() == (2 * special.gammaincinv(dof / 2, CHI2_LEVEL)).tobytes()
+
+
 def test_cli_import_leaves_out_scipy_stats(src_env):
     code = "import sys, bagrowth.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -160,6 +175,20 @@ def test_compare_to_exact_passes_on_matched_run():
     assert report.passed
     assert report.dof > 0
     assert report.max_gap < 0.01
+
+
+def test_compare_single_group_is_inconclusive(monkeypatch):
+    # at t=1 all the expected counts fall into one group: no degree of freedom
+    stats = bg.run_replicates(bg.RunConfig(m0=3, m=1, t=1, seed=1, replicates=2))
+    exact = bg.network_distribution(1, bg.ChainParams(m=1, m0=3))
+
+    def no_quantile(level, dof):
+        raise AssertionError(f"quantile looked up at dof={dof}")
+
+    monkeypatch.setattr(ensemble, "chi2_threshold", no_quantile)
+    report = bg.compare_to_exact(stats, exact)
+    assert report.dof == 0 and report.inconclusive and not report.passed
+    assert report.as_dict()["threshold"] is None
 
 
 def test_compare_to_limit_inconclusive_at_small_t():

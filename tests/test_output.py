@@ -14,7 +14,7 @@ import pytest
 
 import bagrowth
 from bagrowth.cli import main
-from bagrowth.output import write_cesaro_csv
+from bagrowth.output import write_cesaro_csv, write_json
 
 DIGESTS = [
     (["generate", "--m0", "3", "--m", "2", "--t", "3000", "--seed", "1"], {
@@ -78,3 +78,9 @@ def test_computation_modules_write_no_files(module):
             assert "json" not in [a.name for a in node.names], f"{module}.py imports json"
         if isinstance(node, ast.ImportFrom):
             assert node.module != "json", f"{module}.py imports from json"
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, x):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "x.json", {"x": x})
