@@ -18,20 +18,51 @@ DBL_MIN = np.finfo(np.float64).tiny  # smallest normal double, 2.2e-308
 ROLL_BLOCK = 8  # steps that share one transition table
 
 
-def transition_tables(buf, ks, first_step, steps, d):
-    """(up, stay, buf): up[b, k] = ks[k] / (2 * (first_step + b) + d), stay = 1 - up.
+def _flush_top(lines, top):
+    """Lower top past the cells below DBL_MIN in every line, setting them to 0."""
+    while top > 0:
+        for line in lines:
+            if line[top] >= DBL_MIN:
+                return top
+        for line in lines:
+            line[top] = 0.0
+        top -= 1
+    return top
 
-    Both (steps, len(ks)) tables are views of buf, returned regrown to 1.5
-    times the need when too small. Each cell is the division and
-    subtraction a single step makes, so blocked steps keep their bits.
+
+def roll(rows, ks, first, last, d, top, inject=None):
+    """Step the laws in rows in place from time first to last, yielding top per step.
+
+    rows is (r, w): cell c at degree ks[c], zero above cell top, and w
+    > top + last - first. A step from time s moves mass at k to k+1 with
+    probability k/(2s + d), adds 1.0 at rows[inject] when inject is
+    given, then lowers top past cells below DBL_MIN (2.2e-308) in every
+    row, setting them to exact 0, so no step runs on subnormals. Blocks
+    of ROLL_BLOCK steps share one table of up = ks/(2s + d), stay = 1 - up
+    over a window that holds the block's last top + 1; a step is three
+    in-place ufuncs on fixed views. Cells above top + 1 hold +0 and keep
+    it, so the window changes no bit.
     """
-    size = steps * len(ks)
-    if len(buf) < 2 * size:
-        buf = np.empty(3 * size)
-    up, stay = buf[:2 * size].reshape(2, steps, len(ks))
-    np.divide(ks, (2.0 * np.arange(first_step, first_step + steps) + d)[:, None], out=up)
-    np.subtract(1.0, up, out=stay)
-    return up, stay, buf
+    lines = list(rows)
+    buf = np.empty(2 * ROLL_BLOCK * len(ks))  # every block's tables; no page faults per block
+    mul, add = np.multiply, np.add  # a positional out skips keyword parsing
+    for lo in range(first, last, ROLL_BLOCK):
+        steps = min(ROLL_BLOCK, last - lo)
+        w = top + steps + 1
+        up, stay = buf[:2 * steps * w].reshape(2, steps, w)
+        np.divide(ks[:w], (2.0 * np.arange(lo, lo + steps) + d)[:, None], out=up)
+        np.subtract(1.0, up, out=stay)
+        seg = rows[:, :w]
+        below, above = seg[:, :-1], seg[:, 1:]
+        flux = np.empty((len(rows), w - 1))
+        for up_b, stay_b in zip(up[:, :-1], stay):
+            mul(below, up_b, flux)
+            mul(seg, stay_b, seg)
+            add(above, flux, above)
+            if inject is not None:
+                rows[inject] += 1.0
+            top = _flush_top(lines, top + 1)
+            yield top
 
 
 def mixture_roll(m, m0, d, t):
@@ -39,46 +70,18 @@ def mixture_roll(m, m0, d, t):
 
     Returns (s_new, s_init): sums of per-vertex laws over the t new
     vertices and the m0 initial vertices. Network law = (s_new+s_init)/(t+m0).
-
-    Both sums roll as one (2, kcap+1) array, in place: each step sets
-    cell k to seg[k]*stay[k] + seg[k-1]*up[k-1] over [0, top+1], where
-    top is the last degree at which either sum holds a normal double
-    (>= DBL_MIN, 2.2e-308). Mass that falls below DBL_MIN at the top is
-    set to exact 0, where gradual underflow would send it a few hundred
-    steps later anyway. Against the full-width roll, every cell holding
-    >= 1e-280 keeps its bits and the L1 gap stays below t*DBL_MIN (both
-    tested). Steps run in blocks of ROLL_BLOCK that share one transition
-    table and one window, wide enough for the block's last top + 1 (top
-    grows by at most one cell per step); a step is three in-place ufuncs
-    on fixed views. Cells above top + 1 hold +0 and keep it, so the wider
-    window changes no bit. Cost is O(t * top) with no subnormal
-    arithmetic; top is about 4600 at t=1e4 and 11100 at t=5e4 (m=1,
-    m0=3), against kcap = max(m, m0-1) + t.
+    Both roll as one (2, kcap+1) array through ``roll``, each new vertex
+    injected at s_new[m]. Cells >= 1e-280 keep the full-width roll's bits
+    and the L1 gap stays below t*DBL_MIN (both tested). Cost is O(t * top),
+    top about 4600 at t=1e4 and 11100 at t=5e4 (m=1, m0=3), not kcap.
     """
     kcap = max(m, m0 - 1) + t
-    ks = np.arange(kcap + 1, dtype=np.float64)
     sums = np.zeros((2, kcap + 1))
     s_new, s_init = sums
     s_init[m0 - 1] = float(m0)
-    top = max(m, m0 - 1)
-    buf = np.empty(0)
-    mul, add = np.multiply, np.add  # a positional out skips keyword parsing
-    for first in range(0, t, ROLL_BLOCK):
-        steps = min(ROLL_BLOCK, t - first)
-        w = top + steps + 1  # top <= max(m, m0-1) + first, so w <= kcap + 1
-        up, stay, buf = transition_tables(buf, ks[:w], first, steps, d)
-        seg = sums[:, :w]
-        below, above = seg[:, :-1], seg[:, 1:]
-        flux = np.empty((2, w - 1))
-        for up_b, stay_b in zip(up[:, :-1], stay):
-            mul(below, up_b, flux)
-            mul(seg, stay_b, seg)
-            add(above, flux, above)
-            s_new[m] += 1.0
-            top += 1
-            while top > 0 and s_new[top] < DBL_MIN and s_init[top] < DBL_MIN:
-                s_new[top] = s_init[top] = 0.0
-                top -= 1
+    ks = np.arange(kcap + 1, dtype=np.float64)
+    for _ in roll(sums, ks, 0, t, d, max(m, m0 - 1), inject=(0, m)):
+        pass
     return s_new, s_init
 
 

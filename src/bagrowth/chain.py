@@ -16,7 +16,7 @@ from math import exp
 
 import numpy as np
 
-from ._kernels import DBL_MIN, ROLL_BLOCK, mixture_roll, transition_tables
+from ._kernels import mixture_roll, roll
 from .errors import ConfigurationError, VerificationError
 
 ROW_TOL = 1e-12
@@ -81,6 +81,7 @@ class DegreeLaw:
     """
 
     vertex: int
+    params: ChainParams
     start_time: int
     start_degree: int
     values: np.ndarray   # float64, the rows' bands end to end
@@ -142,18 +143,13 @@ def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
     """Exact law of vertex i's degree, rolled forward to t_max.
 
     New vertices start as a point mass at degree m at time t = i; initial
-    vertices start at degree m0-1 at time 0. Each step rolls only the
-    window [start_degree, top+1], where top is the last degree holding a
-    normal double; mass below DBL_MIN (2.2e-308) at the top is left out,
-    as in ``_kernels.mixture_roll``. Every cell that the full-width roll
-    holds at >= 1e-280 keeps its bits. Each row is stored over
-    [start_degree, top] only (see DegreeLaw); every other degree is
-    exact 0, so support stays structurally inside
-    [start_degree, start_degree + t - start_time]. Each step reads row j
-    of the band and writes row j+1 straight after it, with transition
-    tables shared by blocks of ROLL_BLOCK steps. Cost is O(steps * top)
-    in time and at most steps * top floats in memory: 44 MB for vertex 1
-    of m=1, m0=3 at t_max=3700, against 110 MB for the dense table.
+    vertices start at degree m0-1 at time 0. One row from start_degree
+    steps through ``_kernels.roll``, whose top is the last degree holding
+    a normal double, and [start_degree, top] is copied into the band
+    (see DegreeLaw) after each step. Every cell the full-width roll holds
+    at >= 1e-280 keeps its bits. Cost is O(steps * top) in time and at
+    most steps * top floats: 44 MB for vertex 1 of m=1, m0=3 at
+    t_max=3700, against 110 MB for the dense table.
     """
     start, deg0 = _start_of(i, params)
     if t_max < start:
@@ -162,28 +158,17 @@ def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
     # row j spans at most j+1 degrees; pages past the band are never touched
     values = np.empty(steps * (steps + 1) // 2)
     offsets = np.empty(steps + 1, dtype=np.int64)
-    values[0] = 1.0
+    rows = np.zeros((1, steps))
+    rows[0, 0] = values[0] = 1.0
     offsets[:2] = 0, 1
+    row, end = rows[0], 1
     ks = np.arange(deg0, deg0 + steps, dtype=np.float64)
-    lo, n = 0, 1  # the current row is values[lo:lo + n], degrees deg0..top
-    buf = np.empty(0)
-    mul, add = np.multiply, np.add  # a positional out skips keyword parsing
-    for first in range(start, t_max, ROLL_BLOCK):
-        count = min(ROLL_BLOCK, t_max - first)
-        up, stay, buf = transition_tables(buf, ks[:n + count - 1], first, count, params.d)
-        kept = np.empty(n + count - 1)
-        for j, up_b, stay_b in zip(range(first - start + 2, steps + 1), up, stay):
-            src, dst = values[lo:lo + n], values[lo + n:lo + 2 * n + 1]
-            mul(src, up_b[:n], dst[1:])  # the flux; cell top+1 gets it alone
-            dst[0] = 0.0  # no flux into the start degree; +0 + kept is kept
-            mul(src, stay_b[:n], kept[:n])
-            add(dst[:n], kept[:n], dst[:n])
-            lo, n = lo + n, n + 1
-            while n > 1 and values[lo + n - 1] < DBL_MIN:
-                n -= 1
-            offsets[j] = lo + n  # row j-1 ends here
-    return DegreeLaw(vertex=i, start_time=start, start_degree=deg0,
-                     values=values[:lo + n], offsets=offsets)
+    for j, top in enumerate(roll(rows, ks, start, t_max, params.d, 0), 2):
+        values[end:end + top + 1] = row[:top + 1]
+        end += top + 1
+        offsets[j] = end  # row j-1 ends here
+    return DegreeLaw(vertex=i, params=params, start_time=start, start_degree=deg0,
+                     values=values[:end], offsets=offsets)
 
 
 def evolve_vertex_exact(i: int, t_max: int, params: ChainParams) -> list:
@@ -210,15 +195,23 @@ def evolve_vertex_exact(i: int, t_max: int, params: ChainParams) -> list:
     return rows
 
 
+def _check_law(law: DegreeLaw, i: int, params: ChainParams, t: int) -> None:
+    """Raise unless law is vertex i's law under params and reaches time t."""
+    if (law.vertex, law.params) != (i, params) or law.t_max < t:
+        raise ConfigurationError(f"law of vertex {law.vertex} under {law.params} to "
+                                 f"t={law.t_max} read as vertex {i}'s under {params} at t={t}")
+
+
 def first_passage(k: int, i: int, s: int, law: DegreeLaw, params: ChainParams) -> float:
     """Probability that vertex i first reaches degree k at time s.
 
-    f(k,i,s) = P(k-1, i, s-1) * (k-1)/(2(s-1) + d). Returns exact 0 below
-    the earliest possible passage time.
+    f(k,i,s) = P(k-1, i, s-1) * (k-1)/(2(s-1) + d), read from vertex i's
+    law. Returns exact 0 below the earliest possible passage time.
     """
     start, deg0 = _start_of(i, params)
     if k <= deg0:
         raise ConfigurationError(f"first passage needs k > start degree {deg0}")
+    _check_law(law, i, params, s - 1)
     if s < start + (k - deg0):
         return 0.0
     return law.prob(k - 1, s - 1) * (k - 1) / (2.0 * (s - 1) + params.d)
@@ -233,13 +226,16 @@ def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
     exp(L[t] - L[s]) and summed in the log domain, so no term overflows.
     This route consumes only the degree-(k-1) column of the per-vertex law,
     so it is independent of the forward roll of the degree-k column it is
-    checked against.
+    checked against. A given law must be vertex i's under params up to
+    t_max - 1, the last time the sum reads; it is rolled here otherwise.
     """
     start, deg0 = _start_of(i, params)
     if k <= deg0:
         raise ConfigurationError(f"first-passage route needs k > start degree {deg0}")
     if t_max < start:
         raise ConfigurationError("t_max precedes the vertex's start time")
+    if law is not None:
+        _check_law(law, i, params, t_max - 1)
     d = params.d
     out = np.zeros(t_max - start + 1)
     s_min = start + (k - deg0)

@@ -153,8 +153,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify_proposition(args) -> int:
-    if args.enum_bound < 3:
-        raise ConfigurationError("--enum-bound must be >= 3")
     results = verify_proposition(enum_bound=args.enum_bound)
     failed = [r for r in results if not r["ok"]]
     for r in results:

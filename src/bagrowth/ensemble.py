@@ -103,6 +103,8 @@ def run_replicates(config: RunConfig, threads: int = 1) -> EnsembleStats:
     most `threads` workers only when ``fan_out`` finds the pool pays for
     its start. Either way the counts are the same.
     """
+    if threads < 1:
+        raise ConfigurationError("threads must be >= 1")
     children = SeedSequence(config.seed).spawn(config.replicates)
     jobs = [(config, child) for child in children]
     start = time.perf_counter()

@@ -5,7 +5,7 @@ class ConfigurationError(ValueError):
     """A parameter violates its documented bounds (bad m0/m/t/seed/...)."""
 
 
-class EnumerationBoundError(ValueError):
+class EnumerationBoundError(ConfigurationError):
     """State too large for exhaustive attachment enumeration."""
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bagrowth as bg
-from bagrowth import output
+from bagrowth import _kernels, output
 from bagrowth._kernels import DBL_MIN
 import roll_reference
 from roll_reference import flush_top, roll_step
@@ -148,8 +148,8 @@ def _evolve_dense(i, t_max, params):
 class _DenseLaw:
     """A law read from a dense table, as passage_curve read it before the band."""
 
-    def __init__(self, table):
-        self.table = table
+    def __init__(self, i, t_max, params, table):
+        self.vertex, self.t_max, self.params, self.table = i, t_max, params, table
 
     def column(self, k):
         return self.table[:, k]
@@ -175,7 +175,7 @@ def test_band_keeps_the_dense_tables_bits(i, t_max, params, ks, ts):
         assert law.column(k).tobytes() == want.tobytes()
         if deg0 < k <= law.k_max:
             got = bg.passage_curve(k, i, t_max, params, law=law)
-            ref = bg.passage_curve(k, i, t_max, params, law=_DenseLaw(dense))
+            ref = bg.passage_curve(k, i, t_max, params, law=_DenseLaw(i, t_max, params, dense))
             assert got.tobytes() == ref.tobytes()
     for t in ts:
         assert law.row(t).tobytes() == dense[t - start].tobytes()
@@ -184,7 +184,7 @@ def test_band_keeps_the_dense_tables_bits(i, t_max, params, ks, ts):
             assert law.prob(k, t) == want
 
 
-B = bg.chain.ROLL_BLOCK
+B = _kernels.ROLL_BLOCK
 
 
 @pytest.mark.parametrize("span", [0, 1, B - 1, B, B + 1, 3000])
@@ -245,6 +245,28 @@ def test_first_passage_mass_bounded():
     k, i = 3, 1
     total = sum(bg.first_passage(k, i, s, law, P1) for s in range(i, 401))
     assert 0.0 < total <= 1.0
+
+
+@pytest.mark.parametrize("law_of,why", [
+    (lambda: bg.evolve_vertex(2, 100, P1), "vertex 2 "),  # another vertex
+    (lambda: bg.evolve_vertex(1, 100, bg.ChainParams(m=2, m0=3)), "m=2"),  # other params
+    (lambda: bg.evolve_vertex(1, 50, P1), "t=50 "),  # too short
+], ids=["vertex", "params", "short"])
+def test_passage_refuses_a_law_of_another_chain(law_of, why):
+    law = law_of()
+    with pytest.raises(bg.ConfigurationError, match=why):
+        bg.passage_curve(5, 1, 100, P1, law=law)
+    with pytest.raises(bg.ConfigurationError, match=why):
+        bg.first_passage(5, 1, 100, law, P1)
+
+
+def test_passage_takes_a_law_that_reaches_the_last_time_read():
+    # the sum reads the law up to t_max - 1
+    law = bg.evolve_vertex(1, 99, P1)
+    want = bg.passage_curve(5, 1, 100, P1)
+    assert bg.passage_curve(5, 1, 100, P1, law=law).tobytes() == want.tobytes()
+    assert bg.first_passage(5, 1, 100, law, P1) == bg.first_passage(
+        5, 1, 100, bg.evolve_vertex(1, 100, P1), P1)
 
 
 def test_passage_single_term():

@@ -218,6 +218,24 @@ def test_verify_proposition_bound_validation(capsys):
     assert run(["verify-proposition", "--enum-bound", "2"]) == 1
 
 
+@pytest.mark.parametrize("bound", [3, 4, 5])
+def test_verify_proposition_bound_below_a_state_exits_1(capsys, bound):
+    # the bound admits K_3 but not the larger proposition states
+    assert run(["verify-proposition", "--enum-bound", str(bound)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "enumeration bound is" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_compare_rejects_threads_below_1(tmp_path, capsys, threads):
+    code = run(["compare", "--m0", "3", "--m", "1", "--t", "10", "--seed", "1",
+                "--replicates", "2", "--threads", threads, "--out", str(tmp_path / "cmp")])
+    assert code == 1
+    assert "threads" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_compare_report_is_strict_json(tmp_path):
     # t=1: one chi-square group, and too few tail points for an exponent
     out = tmp_path / "c"

@@ -1,5 +1,7 @@
+import ast
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +302,32 @@ def test_mixture_roll_matches_per_step_reference(m, m0, t, flushes):
     for g, w in zip(_kernels.mixture_roll(m, m0, d, t), want):
         assert g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
+
+
+def _names(node):
+    """The names and attribute names that node's subtree reads."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_one_loop_steps_the_degree_chain():
+    src = Path(_kernels.__file__).parent
+    chain = ast.parse((src / "chain.py").read_text())
+    imported = {a.name for node in ast.walk(chain)
+                if isinstance(node, ast.ImportFrom) and node.module == "_kernels"
+                for a in node.names}
+    assert not imported & {"DBL_MIN", "transition_tables"}
+    stepping = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                head = node.iter if isinstance(node, ast.For) else \
+                    node.test if isinstance(node, ast.While) else None
+                if head is not None and "ROLL_BLOCK" in _names(head):
+                    stepping.append(f"{path.stem}.{fn.name}")
+    assert stepping == ["_kernels.roll"]
