@@ -30,7 +30,7 @@ def _flush_top(lines, top):
     return top
 
 
-def roll(rows, ks, first, last, d, top, inject=None):
+def roll(rows, ks, first, last, d, top, inject=None, cap=None):
     """Step the laws in rows in place from time first to last, yielding top per step.
 
     rows is (r, w): cell c at degree ks[c], zero above cell top, and w
@@ -42,13 +42,21 @@ def roll(rows, ks, first, last, d, top, inject=None):
     over a window that holds the block's last top + 1; a step is three
     in-place ufuncs on fixed views. Cells above top + 1 hold +0 and keep
     it, so the window changes no bit.
+
+    With cap, the window ends at cell cap and top never passes it; rows
+    then needs w > cap + 1 only, with cell cap + 1 at 0 (the flush reads
+    it). Given ks[cap] = 0, so that up = 0 and stay = 1 there, cell cap
+    is absorbing: it collects exactly the flux out of cell cap - 1,
+    which is all the mass above cell cap - 1. Cells below cap never read
+    the cells above them, so they keep the uncapped roll's bits.
     """
     lines = list(rows)
+    edge = len(ks) - 1 if cap is None else cap  # the last cell a step may touch
     buf = np.empty(2 * ROLL_BLOCK * len(ks))  # every block's tables; no page faults per block
     mul, add = np.multiply, np.add  # a positional out skips keyword parsing
     for lo in range(first, last, ROLL_BLOCK):
         steps = min(ROLL_BLOCK, last - lo)
-        w = top + steps + 1
+        w = min(top + steps, edge) + 1
         up, stay = buf[:2 * steps * w].reshape(2, steps, w)
         np.divide(ks[:w], (2.0 * np.arange(lo, lo + steps) + d)[:, None], out=up)
         np.subtract(1.0, up, out=stay)
@@ -65,24 +73,50 @@ def roll(rows, ks, first, last, d, top, inject=None):
             yield top
 
 
-def mixture_roll(m, m0, d, t):
+def mixture_roll(m, m0, d, t, *, cap=None):
     """Roll the vertex-summed degree-law recursion forward to time t.
 
     Returns (s_new, s_init): sums of per-vertex laws over the t new
     vertices and the m0 initial vertices. Network law = (s_new+s_init)/(t+m0).
-    Both roll as one (2, kcap+1) array through ``roll``, each new vertex
+    Both roll as rows of one array through ``roll``, each new vertex
     injected at s_new[m]. Cells >= 1e-280 keep the full-width roll's bits
     and the L1 gap stays below t*DBL_MIN (both tested). Cost is O(t * top),
     top about 4600 at t=1e4 and 11100 at t=5e4 (m=1, m0=3), not kcap.
+
+    With cap (m < cap < kcap, where kcap = max(m, m0-1) + t is the top
+    reachable degree), only cells 0..cap roll, so the cost is
+    O(t * (min(cap, top) + 1)). Cell cap is absorbing: it holds the sum
+    of every cell >= cap, and cells below it keep their bits (both
+    tested). The return then gains a third item, the first moment M of
+    that mass, sum_{k >= cap} k * (s_new + s_init)[k], carried per step
+    as M <- M * (1 + 1/den) + cap * flux: mass at k moves up with
+    probability k/den, and flux is the mass the step moves into cap.
     """
     kcap = max(m, m0 - 1) + t
-    sums = np.zeros((2, kcap + 1))
-    s_new, s_init = sums
-    s_init[m0 - 1] = float(m0)
-    ks = np.arange(kcap + 1, dtype=np.float64)
-    for _ in roll(sums, ks, 0, t, d, max(m, m0 - 1), inject=(0, m)):
-        pass
-    return s_new, s_init
+    if cap is not None and not m < cap < kcap:
+        raise ValueError(f"cap {cap} outside ({m}, {kcap})")
+    last = kcap if cap is None else cap  # the last cell rolled
+    width = last + 1 if cap is None else cap + 2  # a capped roll's flush reads cell cap + 1
+    sums = np.zeros((2, width))
+    s_new, s_init = sums[:, :last + 1]
+    start = min(m0 - 1, last)
+    s_init[start] = float(m0)
+    ks = np.arange(width, dtype=np.float64)
+    if cap is not None:
+        ks[cap] = 0.0  # up = 0, stay = 1: the cell absorbs
+    steps = roll(sums, ks, 0, t, d, max(m, start), inject=(0, m), cap=cap)
+    if cap is None:
+        for _ in steps:
+            pass
+        return s_new, s_init
+    moment = float((m0 - 1) * m0) if start == cap else 0.0
+    feed = cap - 1
+    held = float(s_new[feed] + s_init[feed])  # cell cap - 1 before the step
+    for s, _ in enumerate(steps):
+        den = 2.0 * s + d
+        moment += moment / den + cap * (held * feed / den)
+        held = float(s_new[feed] + s_init[feed])
+    return s_new, s_init, moment
 
 
 def _grow_holme_kim_m1(m0, t, u):

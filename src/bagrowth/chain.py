@@ -272,22 +272,18 @@ class MixtureDistribution:
     params: ChainParams
     k: np.ndarray            # reported degrees m..k_max
     probs: np.ndarray
-    tail: float              # mass outside the reported window
+    tail: float              # mass above k_max, summed directly
     pbar: np.ndarray         # new-vertex-only average over the same window
-    k_full: np.ndarray       # full reachable support
-    probs_full: np.ndarray
-
-    @property
-    def mean_degree(self) -> float:
-        return float((self.k_full * self.probs_full).sum())
+    probs_full: np.ndarray   # cells 0..top, or 0..k_max+1 on the window path
+    mean_degree: float
 
 
 def default_k_max(t: int, m: int) -> int:
     return m + int(np.ceil(10.0 * np.sqrt(t)))
 
 
-def network_distribution(t: int, params: ChainParams,
-                         k_max: int | None = None) -> MixtureDistribution:
+def network_distribution(t: int, params: ChainParams, k_max: int | None = None, *,
+                         window: bool = False) -> MixtureDistribution:
     """Exact network degree law at time t.
 
     Rolls the vertex-summed master recursion forward once: because the
@@ -298,8 +294,19 @@ def network_distribution(t: int, params: ChainParams,
     a normal double; mass below DBL_MIN (2.2e-308) there is set to exact
     0 (see ``_kernels.mixture_roll``), so no step runs on subnormals.
 
+    With window, and k_max + 1 below the top reachable degree, the roll
+    stops at cell k_max + 1, which absorbs the mass above k_max, and
+    carries that mass's first moment beside it: cost O(t * (min(k_max,
+    top) + 2)). probs_full then ends at that cell, and every cell <=
+    k_max holding >= 1e-280 keeps the full roll's bits (tested). Without
+    window, probs_full keeps every cell up to the top reachable degree,
+    as a chi-square over the whole support needs. Either way tail is the
+    mass above k_max, exact 0 when k_max reaches the top.
+
     Raises VerificationError if the law does not sum to 1, or its mean
-    degree differs from (N0 + 2mt)/(t + m0), by more than ROW_TOL.
+    degree differs from (N0 + 2mt)/(t + m0), by more than ROW_TOL; on the
+    window path the mean is sum_{k <= k_max} k p_k + M/(t + m0), with M
+    the carried moment.
     """
     if t < 1:
         raise ConfigurationError("t must be >= 1")
@@ -307,31 +314,34 @@ def network_distribution(t: int, params: ChainParams,
         k_max = default_k_max(t, params.m)
     if k_max < params.m:
         raise ConfigurationError("k_max must be >= m")
-    s_new, s_init = mixture_roll(params.m, params.m0, params.d, t)
-    probs_full = (s_new + s_init) / (t + params.m0)
-    k_full = np.arange(len(probs_full))
+    m, m0, n = params.m, params.m0, t + params.m0
+    if window and k_max + 1 < max(m, m0 - 1) + t:
+        s_new, s_init, moment = mixture_roll(m, m0, params.d, t, cap=k_max + 1)
+        head = k_max + 1  # cells summed as k * p_k; the moment covers the rest
+    else:
+        s_new, s_init = mixture_roll(m, m0, params.d, t)
+        moment, head = 0.0, len(s_new)
+    probs_full = (s_new + s_init) / n
     hi = min(k_max, len(probs_full) - 1)
-    ks = np.arange(params.m, hi + 1)
-    window = probs_full[params.m: hi + 1]
-    tail = float(probs_full.sum() - window.sum())
-    pbar_full = s_new / t
-    pbar = pbar_full[params.m: hi + 1]
+    ks = np.arange(m, hi + 1)
+    probs = probs_full[m: hi + 1]
+    tail = float(probs_full[hi + 1:].sum())
+    pbar = s_new[m: hi + 1] / t
     if k_max > hi:  # window extends past reachable support; pad with zeros
         pad = k_max - hi
-        ks = np.arange(params.m, k_max + 1)
-        window = np.concatenate([window, np.zeros(pad)])
+        ks = np.arange(m, k_max + 1)
+        probs = np.concatenate([probs, np.zeros(pad)])
         pbar = np.concatenate([pbar, np.zeros(pad)])
-    dist = MixtureDistribution(time=t, params=params, k=ks, probs=window,
-                               tail=tail, pbar=pbar, k_full=k_full,
-                               probs_full=probs_full)
+    mean = float((np.arange(head) * probs_full[:head]).sum()) + moment / n
     total = float(probs_full.sum())
     if abs(total - 1.0) > ROW_TOL:
         raise VerificationError(f"network law at t={t} sums to {total!r}, not 1")
-    want_mean = (params.n0 + 2 * params.m * t) / (t + params.m0)
-    if abs(dist.mean_degree - want_mean) > ROW_TOL:
+    want_mean = (params.n0 + 2 * m * t) / n
+    if abs(mean - want_mean) > ROW_TOL:
         raise VerificationError(f"network law at t={t} has mean degree "
-                                f"{dist.mean_degree!r}, not {want_mean!r}")
-    return dist
+                                f"{mean!r}, not {want_mean!r}")
+    return MixtureDistribution(time=t, params=params, k=ks, probs=probs, tail=tail,
+                               pbar=pbar, probs_full=probs_full, mean_degree=mean)
 
 
 def min_degree_prob_at_t1(params: ChainParams) -> float:

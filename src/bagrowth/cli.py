@@ -102,7 +102,7 @@ def cmd_exact(args) -> int:
     if args.t < 1:
         raise ConfigurationError("--t must be >= 1 for the exact law")
     params = ChainParams(m=args.m, m0=args.m0)
-    dist = network_distribution(args.t, params, k_max=args.k_max)
+    dist = network_distribution(args.t, params, k_max=args.k_max, window=True)
     analytic = lambda k: steady_state(k, args.m) if k >= args.m else 0.0
     if args.format == "json":
         write_distribution_json(dist, analytic, args.out)

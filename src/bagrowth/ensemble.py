@@ -257,14 +257,16 @@ def compare_to_limit(stats: EnsembleStats, m: int, k_range: tuple,
     the limit than the ensemble's statistical resolution over k_range;
     when it does not, the report is flagged inconclusive rather than
     failed. Pass `exact` when the caller already holds the law at
-    (m, m0, t); it is rolled here otherwise.
+    (m, m0, t); it is rolled here otherwise, only up to degree hi + 1,
+    since no cell above hi is read.
     """
     cfg = stats.config
     lo, hi = k_range
     if lo < m:
         raise ConfigurationError("k_range must start at or above m")
     if exact is None:
-        exact = network_distribution(cfg.t, ChainParams(m=m, m0=cfg.m0), k_max=hi)
+        exact = network_distribution(cfg.t, ChainParams(m=m, m0=cfg.m0), k_max=hi,
+                                     window=True)
     elif (m, cfg.m0, cfg.t) != (exact.params.m, exact.params.m0, exact.time):
         raise ConfigurationError("ensemble and exact law parameters differ")
     ks = np.arange(lo, hi + 1)

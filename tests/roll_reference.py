@@ -3,8 +3,8 @@
 ``roll_step`` and ``flush_top`` are the kernel that
 ``_kernels.mixture_roll`` and ``chain.evolve_vertex`` ran before their
 steps shared one transition table per block: five ufuncs and a flush per
-step, on a window that ends at top + 1. The tests pin both rolls to
-these references on every cell.
+step, on a window that ends at top + 1 (or at an absorbing cap). The
+tests pin both rolls to these references on every cell.
 """
 
 import numpy as np
@@ -47,20 +47,28 @@ def flush_top(rows, top):
     return top
 
 
-def mixture_roll(m, m0, d, t):
-    """(s_new, s_init) of ``_kernels.mixture_roll``, one roll_step per step."""
-    kcap = max(m, m0 - 1) + t
-    ks = np.arange(kcap + 1, dtype=np.float64)
-    sums = np.zeros((2, kcap + 1))
+def mixture_roll(m, m0, d, t, cap=None):
+    """(s_new, s_init) of ``_kernels.mixture_roll``, one roll_step per step.
+
+    With cap, the window ends at cell cap, whose degree is taken as 0 so
+    that it keeps its mass and collects the flux from below. The carried
+    moment is not computed here.
+    """
+    last = max(m, m0 - 1) + t if cap is None else cap
+    ks = np.arange(last + 1, dtype=np.float64)
+    if cap is not None:
+        ks[cap] = 0.0
+    sums = np.zeros((2, last + 1))
     s_new, s_init = sums
-    s_init[m0 - 1] = float(m0)
-    up = np.empty(kcap + 1)
-    stay = np.empty(kcap + 1)
-    flux = np.empty((2, kcap))
+    start = min(m0 - 1, last)
+    s_init[start] = float(m0)
+    up = np.empty(last + 1)
+    stay = np.empty(last + 1)
+    flux = np.empty((2, last))
     rows = (s_new, s_init)
-    top = max(m, m0 - 1)
+    top = max(m, start)
     for step in range(t):
-        hi = top + 2
+        hi = min(top + 2, last + 1)
         roll_step(sums[:, :hi], ks[:hi], 2.0 * step + d, up[:hi], stay[:hi],
                   flux[:, :hi - 1])
         s_new[m] += 1.0

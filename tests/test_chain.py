@@ -343,6 +343,58 @@ def test_network_distribution_checks_mean_degree(monkeypatch):
         bg.network_distribution(50, P1)
 
 
+WINDOW_CASES = [  # (m, m0, t, k_max); None is the default k_max
+    (1, 3, 300, 1), (2, 4, 300, 2), (1, 5, 200, 1),   # k_max = m
+    (1, 3, 2000, 10),                                 # 1.5% of the mass above k_max
+    (1, 3, 3000, None), (2, 5, 300, None), (3, 5, 500, None),
+    (1, 3, 300, 300),                                 # k_max + 1 at the top degree
+    (1, 3, 300, 301), (2, 5, 300, 10**5),             # k_max at or past the top
+]
+
+
+@pytest.mark.parametrize("m,m0,t,k_max", WINDOW_CASES)
+def test_window_law_matches_full_roll(m, m0, t, k_max):
+    params = bg.ChainParams(m=m, m0=m0)
+    win = bg.network_distribution(t, params, k_max, window=True)
+    full = bg.network_distribution(t, params, k_max)
+    k_max = int(win.k[-1])
+    direct = full.probs_full[k_max + 1:].sum()  # the mass above k_max
+    assert win.tail >= 0.0 and full.tail >= 0.0
+    assert win.tail == pytest.approx(direct, rel=1e-12, abs=0.0)
+    assert full.tail == direct
+    assert win.mean_degree == pytest.approx(full.mean_degree, rel=1e-12)
+    assert np.array_equal(win.k, full.k)
+    assert np.array_equal(win.pbar, full.pbar)
+    if k_max + 1 < max(m, m0 - 1) + t:
+        assert len(win.probs_full) == k_max + 2
+        assert win.probs_full[-1] == win.tail
+        big = full.probs_full[:k_max + 1] >= 1e-280
+        assert np.array_equal(win.probs_full[:k_max + 1][big], full.probs_full[:k_max + 1][big])
+        assert np.array_equal(win.probs[big[m:]], full.probs[big[m:]])
+    else:  # no cap: the same roll
+        assert (win.tail == 0.0) == (k_max >= len(full.probs_full) - 1)
+        assert win.probs_full.tobytes() == full.probs_full.tobytes()
+        assert win.probs.tobytes() == full.probs.tobytes()
+        assert win.mean_degree == full.mean_degree
+
+
+@pytest.mark.parametrize("bad,match", [("moment", "mean degree"), ("mass", "sums to")])
+def test_window_law_keeps_both_checks(monkeypatch, bad, match):
+    from bagrowth import chain
+
+    roll = chain.mixture_roll
+
+    def leaky_roll(*args, **kwargs):
+        s_new, s_init, moment = roll(*args, **kwargs)
+        if bad == "mass":
+            s_new[-1] *= 1.0 + 1e-9
+        return s_new, s_init, moment * (1.0 + 1e-9)
+
+    monkeypatch.setattr(chain, "mixture_roll", leaky_roll)
+    with pytest.raises(bg.VerificationError, match=match):
+        bg.network_distribution(2000, P1, 10, window=True)
+
+
 def _network_distribution_naive(t, params):
     """O(t^2) reference: the network law averaged vertex by vertex over evolve_vertex."""
     acc = np.zeros(max(params.m, params.m0 - 1) + t + 1)

@@ -181,6 +181,26 @@ def test_compare_rolls_exact_law_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("k_max", [None, 10, 2001, 2002])
+def test_exact_rolls_only_the_window(tmp_path, monkeypatch, k_max):
+    from bagrowth import cli
+    from bagrowth.chain import default_k_max
+
+    laws = []
+    network_distribution = cli.network_distribution
+
+    def capture(*args, **kwargs):
+        laws.append(network_distribution(*args, **kwargs))
+        return laws[-1]
+
+    monkeypatch.setattr(cli, "network_distribution", capture)
+    argv = ["exact", "--m", "1", "--m0", "3", "--t", "2000", "--out", str(tmp_path / "e.csv")]
+    assert run(argv + ([] if k_max is None else ["--k-max", str(k_max)])) == 0
+    k = default_k_max(2000, 1) if k_max is None else k_max
+    kcap = 2 + 2000  # the top reachable degree
+    assert len(laws[0].probs_full) == (k + 2 if k + 1 < kcap else kcap + 1)
+
+
 def test_exact_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
     from bagrowth import chain
 

@@ -304,6 +304,50 @@ def test_mixture_roll_matches_per_step_reference(m, m0, t, flushes):
         assert g.tobytes() == w.tobytes()
 
 
+def _caps(m, m0, t):
+    """Absorbing cells to try: the lowest, 30 and the highest below the top degree."""
+    kcap = max(m, m0 - 1) + t
+    return sorted({m + 1, min(30, kcap - 1), kcap - 1} & set(range(m + 1, kcap)))
+
+
+@pytest.mark.parametrize("t", [1, B - 1, B + 1, 3000])
+@pytest.mark.parametrize("m,m0", ROLL_CASES)
+def test_capped_mixture_roll_matches_per_step_reference(m, m0, t):
+    # the absorbing cell included, on every cell and across block edges
+    d = m0 * (m0 - 1) / m
+    for cap in _caps(m, m0, t):
+        got = _kernels.mixture_roll(m, m0, d, t, cap=cap)
+        want = roll_reference.mixture_roll(m, m0, d, t, cap=cap)
+        for g, w in zip(got[:2], want):
+            assert len(g) == cap + 1
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("m,m0,t", [(1, 3, 2000), (1, 5, 300), (2, 4, 1000), (3, 5, 3000),
+                                    (2, 2, 500)])
+def test_capped_mixture_roll_lumps_the_mass_above(m, m0, t):
+    # cells below cap keep the full roll's bits; cell cap and the carried
+    # moment are the full roll's mass and first moment at degrees >= cap
+    d = m0 * (m0 - 1) / m
+    full = _kernels.mixture_roll(m, m0, d, t)
+    law = full[0] + full[1]
+    degrees = np.arange(len(law))
+    for cap in _caps(m, m0, t) + [max(m, m0 - 1) + 1]:
+        s_new, s_init, moment = _kernels.mixture_roll(m, m0, d, t, cap=cap)
+        for g, w in zip((s_new, s_init), full):
+            big = w[:cap] >= 1e-280
+            assert np.array_equal(g[:cap][big], w[:cap][big])
+        assert s_new[cap] + s_init[cap] == pytest.approx(law[cap:].sum(), rel=1e-12)
+        assert moment == pytest.approx((degrees * law)[cap:].sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 52, 60])
+def test_mixture_roll_rejects_a_cap_outside_the_support(cap):
+    # m=2, m0=3, t=50: the cap must lie above m and below the top degree 52
+    with pytest.raises(ValueError):
+        _kernels.mixture_roll(2, 3, 3.0, 50, cap=cap)
+
+
 def _names(node):
     """The names and attribute names that node's subtree reads."""
     for n in ast.walk(node):

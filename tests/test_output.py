@@ -30,7 +30,7 @@ DIGESTS = [
         "": "6c0160f38373cf9a6fa074b928c9423abef28fe545c4c63f7496fbaa97d1178b",
     }),
     (["exact", "--m", "2", "--m0", "5", "--t", "300", "--format", "json"], {
-        "": "079fb894ff2d9bb070d91feaa62499947a1a1ebbef93b2af949a3ad67cf3e014",
+        "": "017ca82f6e3e6302520985cf21e6d7c4ab23bd4bc0803cf793d736f55cb74f7a",
     }),
     (["steady", "--m", "2", "--k-max", "60"], {
         "": "1b94fc2429b57a02fa4b2e25b9eec90a95bb49f86abcd6b96b83a66db1a32027",
