@@ -30,28 +30,25 @@ def _flush_top(lines, top):
     return top
 
 
-def roll(rows, ks, first, last, d, top, inject=None, cap=None):
+def roll(rows, ks, first, last, d, top, inject=None):
     """Step the laws in rows in place from time first to last, yielding top per step.
 
-    rows is (r, w): cell c at degree ks[c], zero above cell top, and w
-    > top + last - first. A step from time s moves mass at k to k+1 with
-    probability k/(2s + d), adds 1.0 at rows[inject] when inject is
-    given, then lowers top past cells below DBL_MIN (2.2e-308) in every
-    row, setting them to exact 0, so no step runs on subnormals. Blocks
-    of ROLL_BLOCK steps share one table of up = ks/(2s + d), stay = 1 - up
-    over a window that holds the block's last top + 1; a step is three
-    in-place ufuncs on fixed views. Cells above top + 1 hold +0 and keep
-    it, so the window changes no bit.
-
-    With cap, the window ends at cell cap and top never passes it; rows
-    then needs w > cap + 1 only, with cell cap + 1 at 0 (the flush reads
-    it). Given ks[cap] = 0, so that up = 0 and stay = 1 there, cell cap
-    is absorbing: it collects exactly the flux out of cell cap - 1,
-    which is all the mass above cell cap - 1. Cells below cap never read
-    the cells above them, so they keep the uncapped roll's bits.
+    rows is (r, w): cell c at degree ks[c], zero above cell top. A step
+    from time s moves mass at k to k+1 with probability k/(2s + d), adds
+    1.0 at rows[inject] when inject is given, then lowers top past cells
+    below DBL_MIN (2.2e-308) in every row, setting them to exact 0, so no
+    step runs on subnormals. Blocks of ROLL_BLOCK steps share one table
+    of up = ks/(2s + d), stay = 1 - up over a window that holds the
+    block's last top + 1 and ends at cell len(ks) - 1 at most; a step is
+    three in-place ufuncs on fixed views. Cells above top + 1 hold +0 and
+    keep it, so the window changes no bit. The flush reads cell top + 1,
+    so w >= len(ks), and cell len(ks) must exist and hold 0 if top can
+    reach cell len(ks) - 1. Given ks[-1] = 0 (up = 0, stay = 1), the last
+    cell is absorbing: it collects exactly the flux out of the cell
+    below, and the cells below never read it.
     """
     lines = list(rows)
-    edge = len(ks) - 1 if cap is None else cap  # the last cell a step may touch
+    edge = len(ks) - 1  # the last cell a step may touch
     buf = np.empty(2 * ROLL_BLOCK * len(ks))  # every block's tables; no page faults per block
     mul, add = np.multiply, np.add  # a positional out skips keyword parsing
     for lo in range(first, last, ROLL_BLOCK):
@@ -76,46 +73,44 @@ def roll(rows, ks, first, last, d, top, inject=None, cap=None):
 def mixture_roll(m, m0, d, t, *, cap=None):
     """Roll the vertex-summed degree-law recursion forward to time t.
 
-    Returns (s_new, s_init): sums of per-vertex laws over the t new
-    vertices and the m0 initial vertices. Network law = (s_new+s_init)/(t+m0).
-    Both roll as rows of one array through ``roll``, each new vertex
-    injected at s_new[m]. Cells >= 1e-280 keep the full-width roll's bits
-    and the L1 gap stays below t*DBL_MIN (both tested). Cost is O(t * top),
-    top about 4600 at t=1e4 and 11100 at t=5e4 (m=1, m0=3), not kcap.
+    Returns (s_new, s_init, moment): sums of per-vertex laws over the t
+    new vertices and the m0 initial vertices over cells 0..cap, and the
+    first moment of the mass in cell cap. Network law =
+    (s_new+s_init)/(t+m0). Both roll as rows of one array through
+    ``roll``, each new vertex injected at s_new[m], and cost O(t *
+    (min(cap, top) + 1)), top being the last cell holding a normal
+    double: about 4600 at t=1e4 and 11100 at t=5e4 (m=1, m0=3).
 
-    With cap (m < cap < kcap, where kcap = max(m, m0-1) + t is the top
-    reachable degree), only cells 0..cap roll, so the cost is
-    O(t * (min(cap, top) + 1)). Cell cap is absorbing: it holds the sum
-    of every cell >= cap, and cells below it keep their bits (both
-    tested). The return then gains a third item, the first moment M of
-    that mass, sum_{k >= cap} k * (s_new + s_init)[k], carried per step
-    as M <- M * (1 + 1/den) + cap * flux: mass at k moves up with
-    probability k/den, and flux is the mass the step moves into cap.
+    Cell cap is absorbing: it holds the sum of every cell >= cap, and the
+    cells below it keep their bits. cap defaults to kcap = max(m, m0-1)
+    + t, the top reachable degree, which no mass reaches before the last
+    step, so the default is the full roll, bit for bit; any m < cap <=
+    kcap may be given. Cells >= 1e-280 keep the full-width roll's bits
+    and the L1 gap stays below t*DBL_MIN (all tested). moment is
+    sum_{k >= cap} k * (s_new + s_init)[k], carried per step as M <- M *
+    (1 + 1/den) + cap * flux: mass at k moves up with probability k/den,
+    and flux is the mass the step moves into cap. It stays exactly 0,
+    and is not updated, while cell cap - 1 is empty.
     """
     kcap = max(m, m0 - 1) + t
-    if cap is not None and not m < cap < kcap:
-        raise ValueError(f"cap {cap} outside ({m}, {kcap})")
-    last = kcap if cap is None else cap  # the last cell rolled
-    width = last + 1 if cap is None else cap + 2  # a capped roll's flush reads cell cap + 1
-    sums = np.zeros((2, width))
-    s_new, s_init = sums[:, :last + 1]
-    start = min(m0 - 1, last)
-    s_init[start] = float(m0)
-    ks = np.arange(width, dtype=np.float64)
-    if cap is not None:
-        ks[cap] = 0.0  # up = 0, stay = 1: the cell absorbs
-    steps = roll(sums, ks, 0, t, d, max(m, start), inject=(0, m), cap=cap)
     if cap is None:
-        for _ in steps:
-            pass
-        return s_new, s_init
+        cap = kcap
+    elif not m < cap <= kcap:
+        raise ValueError(f"cap {cap} outside ({m}, {kcap}]")
+    sums = np.zeros((2, cap + 2))  # the flush reads cell cap + 1
+    s_new, s_init = sums[:, :cap + 1]
+    start = min(m0 - 1, cap)
+    s_init[start] = float(m0)
+    ks = np.arange(cap + 1, dtype=np.float64)
+    ks[cap] = 0.0  # up = 0, stay = 1: the cell absorbs
     moment = float((m0 - 1) * m0) if start == cap else 0.0
     feed = cap - 1
     held = float(s_new[feed] + s_init[feed])  # cell cap - 1 before the step
-    for s, _ in enumerate(steps):
-        den = 2.0 * s + d
-        moment += moment / den + cap * (held * feed / den)
-        held = float(s_new[feed] + s_init[feed])
+    for s, top in enumerate(roll(sums, ks, 0, t, d, max(m, start), inject=(0, m))):
+        if held or moment:
+            den = 2.0 * s + d
+            moment += moment / den + cap * (held * feed / den)
+        held = float(s_new[feed] + s_init[feed]) if top >= feed else 0.0
     return s_new, s_init, moment
 
 

@@ -61,13 +61,24 @@ def transition(k: int, t: int, params: ChainParams):
     return 1.0 - p_up, p_up
 
 
-def _start_of(i: int, params: ChainParams):
-    """(start_time, start_degree) for vertex label i."""
+def _start_of(i: int, params: ChainParams, t_max: int | None = None,
+              k: int | None = None):
+    """(start_time, start_degree) for vertex label i.
+
+    Raises ConfigurationError for a t_max before the start time, or a
+    passage degree k not above the start degree, when they are given.
+    """
     if 1 <= i:
-        return i, params.m
-    if -params.m0 <= i <= -1:
-        return 0, params.m0 - 1
-    raise ConfigurationError(f"invalid vertex label {i}")
+        start, deg0 = i, params.m
+    elif -params.m0 <= i <= -1:
+        start, deg0 = 0, params.m0 - 1
+    else:
+        raise ConfigurationError(f"invalid vertex label {i}")
+    if t_max is not None and t_max < start:
+        raise ConfigurationError("t_max precedes the vertex's start time")
+    if k is not None and k <= deg0:
+        raise ConfigurationError(f"first passage needs k > start degree {deg0}")
+    return start, deg0
 
 
 @dataclass
@@ -151,9 +162,7 @@ def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
     most steps * top floats: 44 MB for vertex 1 of m=1, m0=3 at
     t_max=3700, against 110 MB for the dense table.
     """
-    start, deg0 = _start_of(i, params)
-    if t_max < start:
-        raise ConfigurationError("t_max precedes the vertex's start time")
+    start, deg0 = _start_of(i, params, t_max)
     steps = t_max - start + 1
     # row j spans at most j+1 degrees; pages past the band are never touched
     values = np.empty(steps * (steps + 1) // 2)
@@ -177,9 +186,7 @@ def evolve_vertex_exact(i: int, t_max: int, params: ChainParams) -> list:
     Returns a list of dicts {k: Fraction} per time start..t_max; used as
     a cross-check oracle for the floating-point roll.
     """
-    start, deg0 = _start_of(i, params)
-    if t_max < start:
-        raise ConfigurationError("t_max precedes the vertex's start time")
+    start, deg0 = _start_of(i, params, t_max)
     d = params.d_exact
     rows = [{deg0: Fraction(1)}]
     cur = rows[0]
@@ -208,9 +215,7 @@ def first_passage(k: int, i: int, s: int, law: DegreeLaw, params: ChainParams) -
     f(k,i,s) = P(k-1, i, s-1) * (k-1)/(2(s-1) + d), read from vertex i's
     law. Returns exact 0 below the earliest possible passage time.
     """
-    start, deg0 = _start_of(i, params)
-    if k <= deg0:
-        raise ConfigurationError(f"first passage needs k > start degree {deg0}")
+    start, deg0 = _start_of(i, params, k=k)
     _check_law(law, i, params, s - 1)
     if s < start + (k - deg0):
         return 0.0
@@ -229,11 +234,7 @@ def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
     checked against. A given law must be vertex i's under params up to
     t_max - 1, the last time the sum reads; it is rolled here otherwise.
     """
-    start, deg0 = _start_of(i, params)
-    if k <= deg0:
-        raise ConfigurationError(f"first-passage route needs k > start degree {deg0}")
-    if t_max < start:
-        raise ConfigurationError("t_max precedes the vertex's start time")
+    start, deg0 = _start_of(i, params, t_max, k)
     if law is not None:
         _check_law(law, i, params, t_max - 1)
     d = params.d
@@ -274,12 +275,21 @@ class MixtureDistribution:
     probs: np.ndarray
     tail: float              # mass above k_max, summed directly
     pbar: np.ndarray         # new-vertex-only average over the same window
-    probs_full: np.ndarray   # cells 0..top, or 0..k_max+1 on the window path
+    probs_full: np.ndarray   # cells 0..cap, the last holding the mass at degrees >= cap
     mean_degree: float
 
 
 def default_k_max(t: int, m: int) -> int:
     return m + int(np.ceil(10.0 * np.sqrt(t)))
+
+
+def padded(x: np.ndarray, n: int) -> np.ndarray:
+    """x[:n], with cells past the end of x read as 0."""
+    if len(x) >= n:
+        return x[:n]
+    out = np.zeros(n, dtype=x.dtype)
+    out[:len(x)] = x
+    return out
 
 
 def network_distribution(t: int, params: ChainParams, k_max: int | None = None, *,
@@ -289,24 +299,24 @@ def network_distribution(t: int, params: ChainParams, k_max: int | None = None, 
     Rolls the vertex-summed master recursion forward once: because the
     transition at time j is the same for every vertex, the sums of laws
     over new and initial vertices satisfy the same two-term recursion
-    with a unit injection at degree m each step. Cost O(t * top) total
-    instead of one roll per vertex, where top is the last degree holding
-    a normal double; mass below DBL_MIN (2.2e-308) there is set to exact
-    0 (see ``_kernels.mixture_roll``), so no step runs on subnormals.
+    with a unit injection at degree m each step (see
+    ``_kernels.mixture_roll``). The roll stops at cell cap, which absorbs
+    the mass at degrees >= cap, and carries that mass's first moment
+    beside it; mass below DBL_MIN (2.2e-308) at the top is set to exact
+    0, so no step runs on subnormals. Cost O(t * (min(cap, top) + 1)),
+    top being the last cell holding a normal double.
 
-    With window, and k_max + 1 below the top reachable degree, the roll
-    stops at cell k_max + 1, which absorbs the mass above k_max, and
-    carries that mass's first moment beside it: cost O(t * (min(k_max,
-    top) + 2)). probs_full then ends at that cell, and every cell <=
-    k_max holding >= 1e-280 keeps the full roll's bits (tested). Without
-    window, probs_full keeps every cell up to the top reachable degree,
-    as a chi-square over the whole support needs. Either way tail is the
-    mass above k_max, exact 0 when k_max reaches the top.
+    cap is the top reachable degree kcap = max(m, m0-1) + t, which no
+    mass reaches before the last step, so probs_full is the full law on
+    every cell, as a chi-square over the whole support needs. With
+    window, cap is min(k_max + 1, kcap): only the reported degrees roll,
+    and every cell <= k_max holding >= 1e-280 keeps the full roll's bits
+    (tested). Either way tail is the mass above k_max, exact 0 when k_max
+    reaches the top.
 
     Raises VerificationError if the law does not sum to 1, or its mean
-    degree differs from (N0 + 2mt)/(t + m0), by more than ROW_TOL; on the
-    window path the mean is sum_{k <= k_max} k p_k + M/(t + m0), with M
-    the carried moment.
+    degree sum_{k < cap} k p_k + M/(t + m0), with M the carried moment,
+    differs from (N0 + 2mt)/(t + m0), by more than ROW_TOL.
     """
     if t < 1:
         raise ConfigurationError("t must be >= 1")
@@ -315,24 +325,14 @@ def network_distribution(t: int, params: ChainParams, k_max: int | None = None, 
     if k_max < params.m:
         raise ConfigurationError("k_max must be >= m")
     m, m0, n = params.m, params.m0, t + params.m0
-    if window and k_max + 1 < max(m, m0 - 1) + t:
-        s_new, s_init, moment = mixture_roll(m, m0, params.d, t, cap=k_max + 1)
-        head = k_max + 1  # cells summed as k * p_k; the moment covers the rest
-    else:
-        s_new, s_init = mixture_roll(m, m0, params.d, t)
-        moment, head = 0.0, len(s_new)
+    kcap = max(m, m0 - 1) + t
+    cap = min(k_max + 1, kcap) if window else kcap
+    s_new, s_init, moment = mixture_roll(m, m0, params.d, t, cap=cap)
     probs_full = (s_new + s_init) / n
-    hi = min(k_max, len(probs_full) - 1)
-    ks = np.arange(m, hi + 1)
-    probs = probs_full[m: hi + 1]
-    tail = float(probs_full[hi + 1:].sum())
-    pbar = s_new[m: hi + 1] / t
-    if k_max > hi:  # window extends past reachable support; pad with zeros
-        pad = k_max - hi
-        ks = np.arange(m, k_max + 1)
-        probs = np.concatenate([probs, np.zeros(pad)])
-        pbar = np.concatenate([pbar, np.zeros(pad)])
-    mean = float((np.arange(head) * probs_full[:head]).sum()) + moment / n
+    probs = padded(probs_full, k_max + 1)[m:]
+    pbar = padded(s_new, k_max + 1)[m:] / t
+    tail = float(probs_full[k_max + 1:].sum())
+    mean = float((np.arange(cap) * probs_full[:cap]).sum()) + moment / n
     total = float(probs_full.sum())
     if abs(total - 1.0) > ROW_TOL:
         raise VerificationError(f"network law at t={t} sums to {total!r}, not 1")
@@ -340,8 +340,9 @@ def network_distribution(t: int, params: ChainParams, k_max: int | None = None, 
     if abs(mean - want_mean) > ROW_TOL:
         raise VerificationError(f"network law at t={t} has mean degree "
                                 f"{mean!r}, not {want_mean!r}")
-    return MixtureDistribution(time=t, params=params, k=ks, probs=probs, tail=tail,
-                               pbar=pbar, probs_full=probs_full, mean_degree=mean)
+    return MixtureDistribution(time=t, params=params, k=np.arange(m, k_max + 1),
+                               probs=probs, tail=tail, pbar=pbar, probs_full=probs_full,
+                               mean_degree=mean)
 
 
 def min_degree_prob_at_t1(params: ChainParams) -> float:

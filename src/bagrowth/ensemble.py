@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from . import graph
-from .chain import ChainParams, MixtureDistribution, network_distribution
+from .chain import MixtureDistribution, network_distribution, padded
 from .errors import ConfigurationError
 from .graph import SEQUENTIAL, RunConfig
 from .limits import steady_state, tail_exponent
@@ -212,6 +212,13 @@ def chi2_threshold(level: float, dof: int) -> float:
     return float(2.0 * special.gammaincinv(dof / 2.0, level))
 
 
+def _check_same_chain(cfg: RunConfig, m: int, exact: MixtureDistribution | None) -> None:
+    """Raise unless m, and the exact law when given, are the ensemble's."""
+    if m != cfg.m or exact is not None and (exact.params, exact.time) != (cfg.params, cfg.t):
+        raise ConfigurationError(f"ensemble (m={cfg.m}, m0={cfg.m0}, t={cfg.t}) and law "
+                                 f"parameters differ")
+
+
 def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
                      level: float = CHI2_LEVEL) -> FitReport:
     """Chi-square of pooled counts against the exact finite-t law.
@@ -223,14 +230,11 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
     the report is inconclusive, with no threshold, and does not pass.
     """
     cfg = stats.config
-    if (cfg.m, cfg.m0, cfg.t) != (exact.params.m, exact.params.m0, exact.time):
-        raise ConfigurationError("ensemble and exact law parameters differ")
+    _check_same_chain(cfg, cfg.m, exact)
     n_obs = stats.replicates * stats.num_vertices
     width = max(len(stats.counts), len(exact.probs_full))
-    observed = np.zeros(width)
-    observed[: len(stats.counts)] = stats.counts
-    expected = np.zeros(width)
-    expected[: len(exact.probs_full)] = n_obs * exact.probs_full
+    observed = padded(stats.counts, width).astype(np.float64)
+    expected = n_obs * padded(exact.probs_full, width)
     lo = int(np.nonzero(expected > 0)[0][0])
     obs_g, exp_g = _merge_cells(observed[lo:], expected[lo:])
     chi2 = float(((obs_g - exp_g) ** 2 / exp_g).sum())
@@ -258,27 +262,21 @@ def compare_to_limit(stats: EnsembleStats, m: int, k_range: tuple,
     when it does not, the report is flagged inconclusive rather than
     failed. Pass `exact` when the caller already holds the law at
     (m, m0, t); it is rolled here otherwise, only up to degree hi + 1,
-    since no cell above hi is read.
+    since no cell above hi is read. m must be the ensemble's.
     """
     cfg = stats.config
+    _check_same_chain(cfg, m, exact)
     lo, hi = k_range
     if lo < m:
         raise ConfigurationError("k_range must start at or above m")
     if exact is None:
-        exact = network_distribution(cfg.t, ChainParams(m=m, m0=cfg.m0), k_max=hi,
-                                     window=True)
-    elif (m, cfg.m0, cfg.t) != (exact.params.m, exact.params.m0, exact.time):
-        raise ConfigurationError("ensemble and exact law parameters differ")
+        exact = network_distribution(cfg.t, cfg.params, k_max=hi, window=True)
     ks = np.arange(lo, hi + 1)
     limit = np.array([steady_state(int(k), m) for k in ks])
-    probs = exact.probs_full
-    exact_window = np.array([probs[k] if k < len(probs) else 0.0 for k in ks])
-    se = stats.se
-    resolution = np.array([3 * se[k] if k < len(se) else 0.0 for k in ks])
-    resolution = np.maximum(resolution, 1e-4)
+    exact_window = padded(exact.probs_full, hi + 1)[lo:]
+    resolution = np.maximum(3 * padded(stats.se, hi + 1)[lo:], 1e-4)
     inconclusive = bool(np.any(np.abs(exact_window - limit) > resolution))
-    freq = stats.freq
-    emp = np.array([freq[k] if k < len(freq) else 0.0 for k in ks])
+    emp = padded(stats.freq, hi + 1)[lo:]
     rel_gaps = np.abs(emp - limit) / limit
     exponent = _exponent_window(stats, *exponent_range)
     return FitReport(

@@ -21,6 +21,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from ._kernels import grow
+from .chain import ChainParams
 from .errors import ConfigurationError, EnumerationBoundError, VerificationError
 
 HOLME_KIM = "holme-kim"
@@ -94,10 +95,7 @@ class RunConfig:
     replicates: int = 1
 
     def __post_init__(self):
-        if self.m0 < 2:
-            raise ConfigurationError("m0 must be >= 2")
-        if not 1 <= self.m <= self.m0:
-            raise ConfigurationError("m must satisfy 1 <= m <= m0")
+        ChainParams(m=self.m, m0=self.m0)  # raises on a bad (m, m0)
         if self.t < 0:
             raise ConfigurationError("t must be >= 0")
         if self.scheme not in SCHEMES:
@@ -106,6 +104,10 @@ class RunConfig:
             raise ConfigurationError("seed must be an unsigned 64-bit integer")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
+
+    @property
+    def params(self) -> ChainParams:
+        return ChainParams(m=self.m, m0=self.m0)
 
 
 def new_complete(m0: int) -> GraphState:

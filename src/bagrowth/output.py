@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from ._kernels import BLOCK
-from .chain import MixtureDistribution
+from .chain import MixtureDistribution, padded
 from .ensemble import EnsembleStats, FitReport
 from .graph import GraphState, degree_histogram
 from .limits import CesaroDiagnostic, steady_state
@@ -70,17 +70,20 @@ def _distribution_columns(dist: MixtureDistribution, analytic) -> dict:
 
 
 def write_distribution_csv(dist: MixtureDistribution, analytic, path,
-                           header: str = "") -> None:
-    """CSV 'k,p_exact,p_analytic,abs_gap'; analytic maps k -> P(k)."""
+                           header: str = "") -> dict:
+    """CSV 'k,p_exact,p_analytic,abs_gap'; analytic maps k -> P(k). Returns the columns."""
     cols = _distribution_columns(dist, analytic)
     write_csv(path, cols, zip(*cols.values()), header)
+    return cols
 
 
-def write_distribution_json(dist: MixtureDistribution, analytic, path) -> None:
+def write_distribution_json(dist: MixtureDistribution, analytic, path) -> dict:
+    """The law's columns, (m, m0, t) and tail as JSON; returns the columns."""
     cols = _distribution_columns(dist, analytic)
     write_json(path, {"m": dist.params.m, "m0": dist.params.m0, "t": dist.time,
                       **{name: col.tolist() for name, col in cols.items()},
                       "tail": dist.tail, "bagrowth": __version__})
+    return cols
 
 
 def write_steady_csv(m: int, k_max: int, path, header: str = "") -> None:
@@ -100,14 +103,10 @@ def write_steady_json(m: int, k_max: int, path) -> None:
 def write_stats_csv(stats: EnsembleStats, exact: MixtureDistribution, path,
                     header: str = "") -> None:
     """CSV 'k,count,freq,se,p_exact,p_limit' over the exact law's window."""
-    m = stats.config.m
-    counts, freq, se = stats.counts, stats.freq, stats.se
-    rows = []
-    for k, p in zip(exact.k.tolist(), exact.probs):
-        seen = k < len(counts)
-        rows.append((k, int(counts[k]) if seen else 0, float(freq[k]) if seen else 0.0,
-                     float(se[k]) if seen else 0.0, p,
-                     steady_state(k, m) if k >= m else 0.0))
+    m, n = stats.config.m, int(exact.k[-1]) + 1
+    counts, freq, se = (padded(x, n) for x in (stats.counts, stats.freq, stats.se))
+    rows = [(k, int(counts[k]), float(freq[k]), float(se[k]), p, steady_state(k, m))
+            for k, p in zip(exact.k.tolist(), exact.probs)]
     write_csv(path, ("k", "count", "freq", "se", "p_exact", "p_limit"), rows, header)
 
 

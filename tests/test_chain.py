@@ -333,14 +333,32 @@ def test_network_distribution_checks_mean_degree(monkeypatch):
 
     roll = chain.mixture_roll
 
-    def shifted_roll(*args):
-        s_new, s_init = roll(*args)
+    def shifted_roll(*args, **kwargs):
+        s_new, s_init, moment = roll(*args, **kwargs)
         s_new[P1.m: P1.m + 2] += np.array([-1e-9, 1e-9])  # same sum, higher mean
-        return s_new, s_init
+        return s_new, s_init, moment
 
     monkeypatch.setattr(chain, "mixture_roll", shifted_roll)
     with pytest.raises(bg.VerificationError, match="mean degree"):
         bg.network_distribution(50, P1)
+
+
+@pytest.mark.parametrize("window", [False, True])
+def test_network_distribution_rolls_through_the_module_attribute(monkeypatch, window):
+    # perfbench wraps chain.mixture_roll by name and unpacks exactly 4
+    # positional arguments; the cap must come as a keyword
+    from bagrowth import chain
+
+    calls = []
+    roll = chain.mixture_roll
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return roll(*args, **kwargs)
+
+    monkeypatch.setattr(chain, "mixture_roll", recording)
+    bg.network_distribution(300, P1, 10, window=window)
+    assert calls == [((1, 3, P1.d, 300), {"cap": 11 if window else 302})]
 
 
 WINDOW_CASES = [  # (m, m0, t, k_max); None is the default k_max

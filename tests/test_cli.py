@@ -38,7 +38,7 @@ def test_generate_validation_exit_code(tmp_path, capsys):
     code = run(["generate", "--m0", "3", "--m", "4", "--t", "5",
                 "--seed", "1", "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "m <= m0" in capsys.readouterr().err
+    assert "m0 >= m" in capsys.readouterr().err
 
 
 def test_generate_io_error(tmp_path, capsys):
@@ -97,7 +97,7 @@ def test_exact_rejects_t0(tmp_path, capsys):
     code = run(["exact", "--m", "1", "--m0", "3", "--t", "0",
                 "--out", str(tmp_path / "x.csv")])
     assert code == 1
-    assert "--t" in capsys.readouterr().err
+    assert "t must be >= 1" in capsys.readouterr().err
 
 
 def test_exact_rejects_m_above_m0(tmp_path, capsys):
@@ -157,6 +157,21 @@ def test_compare_bytes_do_not_depend_on_the_pool(tmp_path, force_pool):
     assert pools[0] == 0 and pools[-1] == 2
 
 
+@pytest.mark.parametrize("bad", [["--t", "0"], ["--k-max", "0"]])
+def test_compare_fails_before_any_growth(tmp_path, monkeypatch, capsys, bad):
+    from bagrowth import cli
+
+    def no_growth(*args, **kwargs):
+        raise AssertionError("grew replicates")
+
+    monkeypatch.setattr(cli, "run_replicates", no_growth)
+    code = run(["compare", "--m0", "3", "--m", "1", "--t", "10", "--seed", "1",
+                "--replicates", "2", *bad, "--out", str(tmp_path / "cmp")])
+    assert code == 1
+    assert "must be >= " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_compare_rejects_zero_replicates(tmp_path, capsys):
     code = run(["compare", "--m0", "3", "--m", "1", "--t", "10", "--seed", "1",
                 "--replicates", "0", "--out", str(tmp_path / "cmp")])
@@ -170,9 +185,9 @@ def test_compare_rolls_exact_law_once(tmp_path, monkeypatch):
     calls = []
     roll = chain.mixture_roll
 
-    def counting_roll(*args):
+    def counting_roll(*args, **kwargs):
         calls.append(args)
-        return roll(*args)
+        return roll(*args, **kwargs)
 
     monkeypatch.setattr(chain, "mixture_roll", counting_roll)
     code = run(["compare", "--m0", "3", "--m", "1", "--t", "200", "--seed", "5",
@@ -206,9 +221,9 @@ def test_exact_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
 
     roll = chain.mixture_roll
 
-    def leaky_roll(*args):
-        s_new, s_init = roll(*args)
-        return s_new * (1.0 - 1e-9), s_init  # loses about 1e-9 of the mass
+    def leaky_roll(*args, **kwargs):
+        s_new, s_init, moment = roll(*args, **kwargs)
+        return s_new * (1.0 - 1e-9), s_init, moment  # loses about 1e-9 of the mass
 
     monkeypatch.setattr(chain, "mixture_roll", leaky_roll)
     code = run(["exact", "--m", "1", "--m0", "3", "--t", "50",

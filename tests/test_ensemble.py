@@ -96,6 +96,16 @@ def test_compare_to_limit_requires_matching_exact_law():
         bg.compare_to_limit(stats, 1, (1, 5), exact=exact)
 
 
+def test_compare_to_limit_requires_the_ensembles_m():
+    # an m=1 ensemble read against the m=2 limit
+    stats = bg.run_replicates(bg.RunConfig(m0=3, m=1, t=20, seed=1, replicates=2))
+    with pytest.raises(bg.ConfigurationError, match="parameters differ"):
+        bg.compare_to_limit(stats, 2, (2, 6))
+    exact = bg.network_distribution(20, bg.ChainParams(m=1, m0=3))
+    with pytest.raises(bg.ConfigurationError, match="parameters differ"):
+        bg.compare_to_limit(stats, 2, (2, 6), exact=exact)
+
+
 def test_compare_to_limit_given_law_matches_rolled():
     cfg = bg.RunConfig(m0=3, m=1, t=300, seed=3, replicates=10)
     stats = bg.run_replicates(cfg)

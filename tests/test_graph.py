@@ -32,6 +32,15 @@ def test_new_complete_rejects_small():
         bg.new_complete(1)
 
 
+@pytest.mark.parametrize("m,m0", [(0, 3), (4, 3), (1, 1)])
+def test_run_config_checks_m_and_m0_as_chain_params_do(m, m0):
+    with pytest.raises(bg.ConfigurationError) as chain_error:
+        bg.ChainParams(m=m, m0=m0)
+    with pytest.raises(bg.ConfigurationError) as config_error:
+        bg.RunConfig(m0=m0, m=m, t=1)
+    assert str(config_error.value) == str(chain_error.value)
+
+
 def test_labels_skip_zero():
     s = bg.generate(bg.RunConfig(m0=3, m=1, t=3, seed=0))
     assert list(s.labels()) == [-3, -2, -1, 1, 2, 3]

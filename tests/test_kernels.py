@@ -268,8 +268,8 @@ def test_mixture_roll_flushes_only_subnormal_mass(m, m0, t):
     d = m0 * (m0 - 1) / m
     got = _kernels.mixture_roll(m, m0, d, t)
     want = _roll_full_width(m, m0, d, t)
-    top = max(np.nonzero(g >= _kernels.DBL_MIN)[0][-1] for g in got)
-    for g, w in zip(got, want):
+    top = max(np.nonzero(g >= _kernels.DBL_MIN)[0][-1] for g in got[:2])
+    for g, w in zip(got[:2], want):
         assert len(g) == len(w)
         big = w >= 1e-280
         assert np.array_equal(g[big], w[big])
@@ -302,6 +302,18 @@ def test_mixture_roll_matches_per_step_reference(m, m0, t, flushes):
     for g, w in zip(_kernels.mixture_roll(m, m0, d, t), want):
         assert g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("t", [0, 1, B - 1, B, B + 1, 40, 3000])
+@pytest.mark.parametrize("m,m0", ROLL_CASES)
+def test_default_mixture_roll_is_capped_at_the_top_degree(m, m0, t):
+    # every cell is the uncapped reference's; the moment is that of cell kcap
+    d = m0 * (m0 - 1) / m
+    kcap = max(m, m0 - 1) + t
+    s_new, s_init, moment = _kernels.mixture_roll(m, m0, d, t)
+    want = roll_reference.mixture_roll(m, m0, d, t, cap=None)
+    assert [s_new.tobytes(), s_init.tobytes()] == [w.tobytes() for w in want]
+    assert moment == pytest.approx(kcap * (s_new[kcap] + s_init[kcap]), rel=1e-12, abs=0.0)
 
 
 def _caps(m, m0, t):
@@ -341,9 +353,15 @@ def test_capped_mixture_roll_lumps_the_mass_above(m, m0, t):
         assert moment == pytest.approx((degrees * law)[cap:].sum(), rel=1e-12)
 
 
-@pytest.mark.parametrize("cap", [1, 2, 52, 60])
+@pytest.mark.parametrize("cap", [1, 2, 52, 53, 60])
 def test_mixture_roll_rejects_a_cap_outside_the_support(cap):
-    # m=2, m0=3, t=50: the cap must lie above m and below the top degree 52
+    # m=2, m0=3, t=50: the cap must lie above m and at or below the top degree 52
+    if cap == 52:  # kcap: the full roll
+        got = _kernels.mixture_roll(2, 3, 3.0, 50, cap=cap)
+        want = _kernels.mixture_roll(2, 3, 3.0, 50)
+        assert [g.tobytes() for g in got[:2]] == [w.tobytes() for w in want[:2]]
+        assert got[2] == want[2]
+        return
     with pytest.raises(ValueError):
         _kernels.mixture_roll(2, 3, 3.0, 50, cap=cap)
 
