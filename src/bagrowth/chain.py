@@ -154,25 +154,25 @@ def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
     """Exact law of vertex i's degree, rolled forward to t_max.
 
     New vertices start as a point mass at degree m at time t = i; initial
-    vertices start at degree m0-1 at time 0. One row from start_degree
-    steps through ``_kernels.roll``, whose top is the last degree holding
-    a normal double, and [start_degree, top] is copied into the band
-    (see DegreeLaw) after each step. Every cell the full-width roll holds
-    at >= 1e-280 keeps its bits. Cost is O(steps * top) in time and at
-    most steps * top floats: 44 MB for vertex 1 of m=1, m0=3 at
-    t_max=3700, against 110 MB for the dense table.
+    vertices start at degree m0-1 at time 0. The law rolls as (steps, 1)
+    cells from start_degree through ``_kernels.roll``, whose top is the
+    last degree holding a normal double, and [start_degree, top] of
+    cells[:, 0] is copied into the band (see DegreeLaw) after each step.
+    Every cell the full-width roll holds at >= 1e-280 keeps its bits.
+    Cost is O(steps * top) in time and at most steps * top floats: 44 MB
+    for vertex 1 of m=1, m0=3 at t_max=3700, against 110 MB dense.
     """
     start, deg0 = _start_of(i, params, t_max)
     steps = t_max - start + 1
     # row j spans at most j+1 degrees; pages past the band are never touched
     values = np.empty(steps * (steps + 1) // 2)
     offsets = np.empty(steps + 1, dtype=np.int64)
-    rows = np.zeros((1, steps))
-    rows[0, 0] = values[0] = 1.0
+    cells = np.zeros((steps, 1))
+    cells[0, 0] = values[0] = 1.0
     offsets[:2] = 0, 1
-    row, end = rows[0], 1
+    row, end = cells[:, 0], 1
     ks = np.arange(deg0, deg0 + steps, dtype=np.float64)
-    for j, top in enumerate(roll(rows, ks, start, t_max, params.d, 0), 2):
+    for j, top in enumerate(roll(cells, ks, start, t_max, params.d, 0), 2):
         values[end:end + top + 1] = row[:top + 1]
         end += top + 1
         offsets[j] = end  # row j-1 ends here

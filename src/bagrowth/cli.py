@@ -111,10 +111,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    if args.m < 1:
-        raise ConfigurationError("--m must be >= 1")
-    if args.k_max < args.m:
-        raise ConfigurationError("--k-max must be >= m (--m)")
+    steady_state(args.k_max, args.m)  # raises for m < 1 or k_max < m
     if args.format == "json":
         write_steady_json(args.m, args.k_max, args.out)
     else:

@@ -53,8 +53,8 @@ def write_edge_list(state: GraphState, path, header: str = "") -> None:
         if header:
             fh.write(header + "\n")
         for lo in range(0, len(state.edges), BLOCK):  # no labelled copy of all edges
-            rows = lab[state.edges[lo:lo + BLOCK]].tolist()
-            fh.write("".join(f"{u} {v}\n" for u, v in rows))
+            flat = lab[state.edges[lo:lo + BLOCK]].ravel().tolist()
+            fh.write(("%d %d\n" * (len(flat) // 2)) % tuple(flat))
 
 
 def write_degree_histogram(state: GraphState, path, header: str = "") -> None:

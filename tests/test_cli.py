@@ -127,7 +127,14 @@ def test_steady(tmp_path):
 def test_steady_validation(tmp_path, capsys):
     assert run(["steady", "--m", "5", "--k-max", "2",
                 "--out", str(tmp_path / "s.csv")]) == 1
-    assert "--k-max" in capsys.readouterr().err
+    assert "k must be >= m" in capsys.readouterr().err
+
+
+def test_steady_rejects_m_below_1(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["steady", "--m", "0", "--k-max", "5", "--out", str(out)]) == 1
+    assert "m must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare(tmp_path, capsys):

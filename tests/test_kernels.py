@@ -366,6 +366,51 @@ def test_mixture_roll_rejects_a_cap_outside_the_support(cap):
         _kernels.mixture_roll(2, 3, 3.0, 50, cap=cap)
 
 
+@pytest.mark.parametrize("t,cap,flushes", [(10000, 1002, 1000), (5000, None, 5000)])
+def test_only_an_unsaturated_window_is_flushed(monkeypatch, t, cap, flushes):
+    # capped: top climbs one cell per step from 2 to the absorbing cell
+    # 1002, after which the flush could change nothing and is skipped;
+    # full: no mass reaches the top reachable degree before the last step
+    calls = []
+    flush_top = _kernels._flush_top
+
+    def counting(lines, top):
+        calls.append(top)
+        return flush_top(lines, top)
+
+    monkeypatch.setattr(_kernels, "_flush_top", counting)
+    _kernels.mixture_roll(1, 3, 6.0, t, cap=cap)
+    assert len(calls) == flushes
+
+
+def test_every_step_runs_on_1d_contiguous_cells(monkeypatch):
+    from bagrowth import chain
+
+    operands = []
+
+    def recording(ufunc):
+        def call(*args):
+            operands.extend(a for a in args if isinstance(a, np.ndarray))
+            return ufunc(*args)
+        return call
+
+    monkeypatch.setattr(np, "multiply", recording(np.multiply))
+    monkeypatch.setattr(np, "add", recording(np.add))
+    _kernels.mixture_roll(1, 3, 6.0, 300, cap=40)
+    chain.evolve_vertex(1, 300, chain.ChainParams(m=1, m0=3))
+    assert len(operands) == 9 * (300 + 299)  # two multiplies and one add per step
+    assert all(a.ndim == 1 and a.flags.c_contiguous for a in operands)
+
+
+@pytest.mark.parametrize("cells", [np.zeros((2, 8)).T, np.zeros((8, 2), np.float32),
+                                   np.zeros(8), np.zeros((8, 4))[:, :2]])
+def test_roll_refuses_cells_it_would_copy(cells):
+    # reshape(-1) copies such cells, and the roll would step the copy
+    ks = np.arange(7, dtype=np.float64)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        next(_kernels.roll(cells, ks, 0, 5, 6.0, 0))
+
+
 def _names(node):
     """The names and attribute names that node's subtree reads."""
     for n in ast.walk(node):
