@@ -267,7 +267,14 @@ def p_via_first_passage(k: int, i: int, t: int, params: ChainParams,
 
 @dataclass
 class MixtureDistribution:
-    """Network-level degree law P(k, t) averaged over all vertices."""
+    """Network-level degree law P(k, t) averaged over all vertices.
+
+    probs_full holds cells 0..cap: each cell below cap is its degree's
+    probability, and cell cap holds the mass at every degree >= cap. At
+    the top reachable degree kcap (``capped`` false) that is the full
+    law, bit for bit; `exact`'s cap K + 1 lumps the mass above K (1.4e-17
+    at t=5000, m=1, m0=3), `compare`'s m + ceil(16 sqrt t) lumps 6.5e-38.
+    """
 
     time: int
     params: ChainParams
@@ -278,9 +285,20 @@ class MixtureDistribution:
     probs_full: np.ndarray   # cells 0..cap, the last holding the mass at degrees >= cap
     mean_degree: float
 
+    @property
+    def cap(self) -> int:
+        """The absorbing cell of the roll."""
+        return len(self.probs_full) - 1
+
+    @property
+    def capped(self) -> bool:
+        """Whether cell cap lumps degrees up to the top reachable one, kcap."""
+        return self.cap < max(self.params.m, self.params.m0 - 1) + self.time
+
 
 def default_k_max(t: int, m: int) -> int:
-    return m + int(np.ceil(10.0 * np.sqrt(t)))
+    """m + ceil(10 sqrt t): the largest degree `exact` and `compare` report by default."""
+    return m + int(np.ceil(10.0 * np.sqrt(max(t, 0))))  # m at t <= 0, which no law has
 
 
 def padded(x: np.ndarray, n: int) -> np.ndarray:
@@ -293,8 +311,8 @@ def padded(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def network_distribution(t: int, params: ChainParams, k_max: int | None = None, *,
-                         window: bool = False) -> MixtureDistribution:
-    """Exact network degree law at time t.
+                         cap: int | None = None) -> MixtureDistribution:
+    """Exact network degree law at time t, rolled up to the cell min(cap, kcap).
 
     Rolls the vertex-summed master recursion forward once: because the
     transition at time j is the same for every vertex, the sums of laws
@@ -304,15 +322,19 @@ def network_distribution(t: int, params: ChainParams, k_max: int | None = None, 
     the mass at degrees >= cap, and carries that mass's first moment
     beside it; mass below DBL_MIN (2.2e-308) at the top is set to exact
     0, so no step runs on subnormals. Cost O(t * (min(cap, top) + 1)),
-    top being the last cell holding a normal double.
+    top being the last cell holding a normal double (3060 at t=5000,
+    m=1, m0=3).
 
-    cap is the top reachable degree kcap = max(m, m0-1) + t, which no
-    mass reaches before the last step, so probs_full is the full law on
-    every cell, as a chi-square over the whole support needs. With
-    window, cap is min(k_max + 1, kcap): only the reported degrees roll,
-    and every cell <= k_max holding >= 1e-280 keeps the full roll's bits
-    (tested). Either way tail is the mass above k_max, exact 0 when k_max
-    reaches the top.
+    cap defaults to the top reachable degree kcap = max(m, m0-1) + t,
+    which no mass reaches before the last step, so probs_full is then
+    the full law on every cell. A given cap must exceed k_max, and is
+    lowered to kcap when above it; every cell below it holding >= 1e-280
+    keeps the full roll's bits (tested). `exact` passes k_max + 1 and so
+    rolls only the degrees it reports. `compare` passes
+    ``ensemble.fit_cap``, max(k_max + 1, m + ceil(16 sqrt t)), and
+    ``compare_to_exact`` proves from that law that its fit equals the
+    full law's, or rolls the full law once when it cannot. Either way
+    tail is the mass above k_max, exact 0 when k_max reaches the top.
 
     Raises VerificationError if the law does not sum to 1, or its mean
     degree sum_{k < cap} k p_k + M/(t + m0), with M the carried moment,
@@ -324,9 +346,11 @@ def network_distribution(t: int, params: ChainParams, k_max: int | None = None, 
         k_max = default_k_max(t, params.m)
     if k_max < params.m:
         raise ConfigurationError("k_max must be >= m")
+    if cap is not None and cap <= k_max:
+        raise ConfigurationError(f"cap {cap} must exceed k_max {k_max}")
     m, m0, n = params.m, params.m0, t + params.m0
     kcap = max(m, m0 - 1) + t
-    cap = min(k_max + 1, kcap) if window else kcap
+    cap = kcap if cap is None else min(cap, kcap)
     s_new, s_init, moment = mixture_roll(m, m0, params.d, t, cap=cap)
     probs_full = (s_new + s_init) / n
     probs = padded(probs_full, k_max + 1)[m:]

@@ -9,8 +9,8 @@ import argparse
 import sys
 
 from . import __version__
-from .chain import ChainParams, network_distribution
-from .ensemble import compare_to_exact, compare_to_limit, run_replicates
+from .chain import ChainParams, default_k_max, network_distribution
+from .ensemble import compare_to_exact, compare_to_limit, fit_cap, run_replicates
 from .errors import ConfigurationError, VerificationError
 from .graph import HOLME_KIM, SCHEMES, RunConfig, generate, verify_proposition
 from .limits import steady_state
@@ -98,7 +98,8 @@ def cmd_generate(args) -> int:
 
 def cmd_exact(args) -> int:
     params = ChainParams(m=args.m, m0=args.m0)
-    dist = network_distribution(args.t, params, k_max=args.k_max, window=True)
+    k_max = default_k_max(args.t, args.m) if args.k_max is None else args.k_max
+    dist = network_distribution(args.t, params, k_max=k_max, cap=k_max + 1)
     analytic = lambda k: steady_state(k, args.m)
     if args.format == "json":
         cols = write_distribution_json(dist, analytic, args.out)
@@ -125,7 +126,9 @@ def cmd_compare(args) -> int:
     config = RunConfig(m0=args.m0, m=args.m, t=args.t, scheme=args.scheme,
                        seed=args.seed, replicates=args.replicates)
     # the law is rolled first, so a bad --t or --k-max fails before any growth
-    exact = network_distribution(config.t, config.params, k_max=args.k_max)
+    k_max = default_k_max(config.t, config.m) if args.k_max is None else args.k_max
+    exact = network_distribution(config.t, config.params, k_max=k_max,
+                                 cap=fit_cap(config.t, config.m, k_max))
     stats = run_replicates(config, threads=args.threads)
     report = compare_to_exact(stats, exact)
     limit_hi = min(8 * args.m, int(exact.k[-1]))
@@ -138,7 +141,8 @@ def cmd_compare(args) -> int:
                             "limit_inconclusive": bool(limit_report.inconclusive)})
     print(f"chi2={report.chi2:.4g} dof={report.dof} threshold={report.threshold:.4g} "
           f"pass={report.passed} exponent={report.exponent:.3f} "
-          f"max_gap={report.max_gap:.4g}")
+          f"max_gap={report.max_gap:.4g} law_cap={exact.cap} "
+          f"full_law={'yes' if report.rerolled else 'no'}")
     return 0
 
 

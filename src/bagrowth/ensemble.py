@@ -23,6 +23,10 @@ from .limits import steady_state, tail_exponent
 
 CHI2_LEVEL = 0.999
 CHI2_TABLE_DOF = 2000  # chi2_0999.npy holds the CHI2_LEVEL quantile for dof 1..2000
+# compare rolls its law up to degree m + ceil(16 sqrt t): the finite-size cutoff
+# grows like sqrt t, and the mass at or above it is 8e-44, 6.5e-38 and 5.8e-37
+# at t = 1e3, 5e3 and 1e4 (m=1, m0=3)
+FIT_CAP_ROOTS = 16.0
 CHUNKSIZE = 8  # replicates per task sent to a pool worker
 # Import, start and teardown of a 2-worker process pool running a trivial
 # map from a 55-MB CLI process: 3.4 + 9-10 ms (2 vCPUs, Linux fork).
@@ -136,6 +140,7 @@ class FitReport:
     max_gap: float
     rel_gaps: np.ndarray = field(default_factory=lambda: np.empty(0))
     inconclusive: bool = False
+    rerolled: bool = False  # the fit rolled the full law again (see compare_to_exact)
 
     def as_dict(self) -> dict:
         return {
@@ -158,17 +163,26 @@ def _merge_cells(observed: np.ndarray, expected: np.ndarray, min_expected: float
     """Group adjacent cells until each group's expectation reaches the floor.
 
     A trailing underfull group is folded into the previous one. Returns
-    (obs_groups, exp_groups).
+    (obs_groups, exp_groups, inert). inert says that twice the last
+    cell's expectation, added to the sum it joins, leaves that sum
+    unchanged and stays below the floor; the sum it joins is the open
+    group's, or the last closed group's when the cell would start a
+    fresh group, since an underfull trailing group folds into that one.
+    The walk sums Python floats, with the same IEEE bits as numpy scalars.
     """
     obs_g, exp_g = [], []
-    o_acc = e_acc = 0.0
-    for o, e in zip(observed, expected):
+    o_acc = e_acc = joins = e = 0.0
+    for o, e in zip(observed.tolist(), expected.tolist()):
+        joins = e_acc
         o_acc += o
         e_acc += e
         if e_acc >= min_expected:
             obs_g.append(o_acc)
             exp_g.append(e_acc)
             o_acc = e_acc = 0.0
+    if not joins and exp_g:
+        joins = exp_g[-1]  # holds the last cell too if it closed a group: not inert
+    inert = bool(joins) and joins + 2.0 * e == joins and 2.0 * e < min_expected
     if e_acc > 0 or o_acc > 0:
         if obs_g:
             obs_g[-1] += o_acc
@@ -176,7 +190,7 @@ def _merge_cells(observed: np.ndarray, expected: np.ndarray, min_expected: float
         else:
             obs_g.append(o_acc)
             exp_g.append(e_acc)
-    return np.array(obs_g), np.array(exp_g)
+    return np.array(obs_g), np.array(exp_g), inert
 
 
 def _exponent_window(stats: EnsembleStats, lo: int, hi: int) -> float:
@@ -219,6 +233,14 @@ def _check_same_chain(cfg: RunConfig, m: int, exact: MixtureDistribution | None)
                                  f"parameters differ")
 
 
+def fit_cap(t: int, m: int, k_max: int) -> int:
+    """The cap compare rolls its law to: max(k_max + 1, m + ceil(16 sqrt t)).
+
+    network_distribution lowers it to the top reachable degree when above.
+    """
+    return max(k_max + 1, m + int(np.ceil(FIT_CAP_ROOTS * np.sqrt(t))))
+
+
 def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
                      level: float = CHI2_LEVEL) -> FitReport:
     """Chi-square of pooled counts against the exact finite-t law.
@@ -228,15 +250,37 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
     of the chi-square law with the matching degrees of freedom. When the
     cells merge into one group there are no degrees of freedom to test:
     the report is inconclusive, with no threshold, and does not pass.
+
+    The report is the full law's, bit for bit, also from a capped law
+    (``exact.capped``: its last cell lumps the degrees >= cap). The cap
+    is kept only when that is proven from the capped law alone: no
+    observed degree reaches cap, and the merge walk finds the lumped
+    cell inert (twice its expected count leaves the sum it joins
+    unchanged). The full law's cells >= cap hold the same mass, to 1e-12,
+    so each is at most twice the lumped cell; rounding is monotone, so
+    none of them changes that sum either, and both laws merge into the
+    same groups. When the proof fails, the full law is rolled once
+    through ``network_distribution`` and fitted instead, and the report
+    says so in ``rerolled``. A law capped at the top reachable degree is
+    the full law and needs no proof.
     """
     cfg = stats.config
     _check_same_chain(cfg, cfg.m, exact)
     n_obs = stats.replicates * stats.num_vertices
-    width = max(len(stats.counts), len(exact.probs_full))
-    observed = padded(stats.counts, width).astype(np.float64)
-    expected = n_obs * padded(exact.probs_full, width)
-    lo = int(np.nonzero(expected > 0)[0][0])
-    obs_g, exp_g = _merge_cells(observed[lo:], expected[lo:])
+    counts = stats.counts
+
+    def groups(law):
+        width = max(len(counts), len(law.probs_full))
+        observed = padded(counts, width).astype(np.float64)
+        expected = n_obs * padded(law.probs_full, width)
+        lo = int(np.nonzero(expected > 0)[0][0])
+        return _merge_cells(observed[lo:], expected[lo:])
+
+    obs_g, exp_g, inert = groups(exact)
+    rerolled = exact.capped and not (len(counts) <= exact.cap and inert)
+    if rerolled:
+        exact = network_distribution(cfg.t, cfg.params, int(exact.k[-1]))
+        obs_g, exp_g, _ = groups(exact)
     chi2 = float(((obs_g - exp_g) ** 2 / exp_g).sum())
     dof = len(obs_g) - 1
     testable = dof >= 1  # a single group leaves no degree of freedom
@@ -249,6 +293,7 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
         chi2=chi2, dof=dof, threshold=threshold, passed=testable and chi2 <= threshold,
         exponent=_exponent_window(stats, 5 * m, 50 * m),
         max_gap=float(gaps.max()) if len(gaps) else 0.0, inconclusive=not testable,
+        rerolled=rerolled,
     )
 
 
@@ -270,7 +315,7 @@ def compare_to_limit(stats: EnsembleStats, m: int, k_range: tuple,
     if lo < m:
         raise ConfigurationError("k_range must start at or above m")
     if exact is None:
-        exact = network_distribution(cfg.t, cfg.params, k_max=hi, window=True)
+        exact = network_distribution(cfg.t, cfg.params, k_max=hi, cap=hi + 1)
     ks = np.arange(lo, hi + 1)
     limit = np.array([steady_state(int(k), m) for k in ks])
     exact_window = padded(exact.probs_full, hi + 1)[lo:]

@@ -6,6 +6,7 @@ import pytest
 import bagrowth as bg
 from bagrowth import _kernels, output
 from bagrowth._kernels import DBL_MIN
+from bagrowth.chain import default_k_max
 import roll_reference
 from roll_reference import flush_top, roll_step
 
@@ -357,7 +358,7 @@ def test_network_distribution_rolls_through_the_module_attribute(monkeypatch, wi
         return roll(*args, **kwargs)
 
     monkeypatch.setattr(chain, "mixture_roll", recording)
-    bg.network_distribution(300, P1, 10, window=window)
+    bg.network_distribution(300, P1, 10, cap=11 if window else None)
     assert calls == [((1, 3, P1.d, 300), {"cap": 11 if window else 302})]
 
 
@@ -373,7 +374,8 @@ WINDOW_CASES = [  # (m, m0, t, k_max); None is the default k_max
 @pytest.mark.parametrize("m,m0,t,k_max", WINDOW_CASES)
 def test_window_law_matches_full_roll(m, m0, t, k_max):
     params = bg.ChainParams(m=m, m0=m0)
-    win = bg.network_distribution(t, params, k_max, window=True)
+    k = default_k_max(t, m) if k_max is None else k_max
+    win = bg.network_distribution(t, params, k_max, cap=k + 1)
     full = bg.network_distribution(t, params, k_max)
     k_max = int(win.k[-1])
     direct = full.probs_full[k_max + 1:].sum()  # the mass above k_max
@@ -410,7 +412,7 @@ def test_window_law_keeps_both_checks(monkeypatch, bad, match):
 
     monkeypatch.setattr(chain, "mixture_roll", leaky_roll)
     with pytest.raises(bg.VerificationError, match=match):
-        bg.network_distribution(2000, P1, 10, window=True)
+        bg.network_distribution(2000, P1, 10, cap=11)
 
 
 def _network_distribution_naive(t, params):

@@ -100,6 +100,14 @@ def test_exact_rejects_t0(tmp_path, capsys):
     assert "t must be >= 1" in capsys.readouterr().err
 
 
+def test_exact_rejects_a_negative_t(tmp_path, capsys):
+    # the default --k-max is computed before the law checks t
+    code = run(["exact", "--m", "1", "--m0", "3", "--t", "-3",
+                "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "t must be >= 1" in capsys.readouterr().err
+
+
 def test_exact_rejects_m_above_m0(tmp_path, capsys):
     code = run(["exact", "--m0", "3", "--m", "4", "--t", "10",
                 "--out", str(tmp_path / "x.csv")])

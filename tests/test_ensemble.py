@@ -151,7 +151,7 @@ def test_cli_import_leaves_out_process_pool(src_env):
 def test_merge_cells_respects_floor():
     observed = np.array([50.0, 40.0, 3.0, 2.0, 1.0, 0.2])
     expected = np.array([48.0, 41.0, 4.0, 2.5, 1.0, 0.5])
-    obs_g, exp_g = _merge_cells(observed, expected)
+    obs_g, exp_g, _ = _merge_cells(observed, expected)
     assert np.all(exp_g >= 5.0)
     assert obs_g.sum() == pytest.approx(observed.sum())
     assert exp_g.sum() == pytest.approx(expected.sum())
@@ -170,7 +170,7 @@ def test_chi_square_calibration():
     trials = 500
     for _ in range(trials):
         observed = rng.multinomial(n, exact.probs_full / exact.probs_full.sum())
-        obs_g, exp_g = _merge_cells(observed[lo:].astype(float), expected[lo:])
+        obs_g, exp_g, _ = _merge_cells(observed[lo:].astype(float), expected[lo:])
         chi2 = ((obs_g - exp_g) ** 2 / exp_g).sum()
         if chi2 > sps.chi2.ppf(0.999, len(obs_g) - 1):
             failures += 1

@@ -8,6 +8,8 @@ fails here.
 
 import ast
 import hashlib
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -48,7 +50,19 @@ DIGESTS = [
         ".stats.csv": "2f01cbe88fb32e33b0b2bcbf850be6dc8e7b741a7d083372c40f396c91b506ab",
         ".report.json": "cce86b5018a8b0d9fc93ab455db3ba4a543ac57534b122241d57ec085b1b6407",
     }),
+    (["compare", "--m0", "4", "--m", "2", "--t", "2000", "--replicates", "6",
+      "--seed", "7", "--scheme", "sequential"], {
+        ".stats.csv": "2078dc8936e3766a4979b366875d5a1aa7b04b61ada7cccbe90cf974a135ac35",
+        ".report.json": "89ef9fe0e2bde27fba09b827d346f35afbad9fc100b6c6ed800f35795893ebd3",
+    }),
+    # the law's cap, 2264, sits far below its top degree, 20002
+    (["compare", "--m0", "3", "--m", "1", "--t", "20000", "--replicates", "4",
+      "--seed", "11"], {
+        ".stats.csv": "809367cf6c2768f5d27450a689929b7d272ab7ed8fc8505679feeb991411317f",
+        ".report.json": "07295a223cdbeea04e992ad7438bbee15652e22815af1c05743deee3de13e18c",
+    }),
 ]
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _sha256(path) -> str:
@@ -60,6 +74,19 @@ def test_cli_output_bytes(tmp_path, argv, digests):
     out = str(tmp_path / "out")
     assert main(argv + ["--out", out]) == 0
     assert {sfx: _sha256(out + sfx) for sfx in digests} == digests
+
+
+@pytest.mark.parametrize("workload", ["compare-ensemble", "generate-hk"])
+def test_bench_jobs_match_their_golden_digests(tmp_path, workload):
+    # the benchmark's own job (argv from perfbench/workloads.py, seed 1, full
+    # size) must write the files whose digests perfbench/golden.json holds
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    job = workloads.job_spec(workload, workloads.DEFAULT_SEED, str(tmp_path / "out"))
+    golden = json.loads((PERFBENCH / "golden.json").read_text())[workload]
+    assert main(job["argv"]) == 0
+    assert {sfx: _sha256(job["out"] + sfx) for sfx in job["outputs"]} == golden
 
 
 def test_cesaro_csv_bytes(tmp_path):
