@@ -132,7 +132,7 @@ def cmd_compare(args) -> int:
     stats = run_replicates(config, threads=args.threads)
     report = compare_to_exact(stats, exact)
     limit_hi = min(8 * args.m, int(exact.k[-1]))
-    limit_report = compare_to_limit(stats, args.m, (args.m, limit_hi), exact=exact)
+    limit_report = compare_to_limit(stats, (args.m, limit_hi), exact=exact)
     head = header(m0=args.m0, m=args.m, t=args.t, seed=args.seed,
                   scheme=args.scheme, replicates=args.replicates)
     write_stats_csv(stats, exact, args.out + ".stats.csv", header=head)

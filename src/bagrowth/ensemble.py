@@ -23,6 +23,7 @@ from .limits import steady_state, tail_exponent
 
 CHI2_LEVEL = 0.999
 CHI2_TABLE_DOF = 2000  # chi2_0999.npy holds the CHI2_LEVEL quantile for dof 1..2000
+MIN_EXPECTED = 5.0  # adjacent chi-square cells merge until each group expects this many
 # compare rolls its law up to degree m + ceil(16 sqrt t): the finite-size cutoff
 # grows like sqrt t, and the mass at or above it is 8e-44, 6.5e-38 and 5.8e-37
 # at t = 1e3, 5e3 and 1e4 (m=1, m0=3)
@@ -74,6 +75,20 @@ class EnsembleStats:
             return np.zeros(self.rep_counts.shape[1])
         rep_freq = self.rep_counts / self.num_vertices
         return np.sqrt(rep_freq.var(axis=0, ddof=1) / r)
+
+    def check_law(self, exact: MixtureDistribution, hi: int | None = None) -> None:
+        """Raise ConfigurationError unless exact has this ensemble's (params, t).
+
+        A reader of degrees up to hi also needs a capped law rolled past hi,
+        since its cell cap lumps every degree >= cap; a full law (not
+        ``capped``) is 0 above its top cell.
+        """
+        cfg = self.config
+        if (exact.params, exact.time) != (cfg.params, cfg.t):
+            raise ConfigurationError(f"ensemble {cfg.params}, t={cfg.t} and law "
+                                     f"{exact.params}, t={exact.time} differ")
+        if hi is not None and exact.capped and exact.cap <= hi:
+            raise ConfigurationError(f"law capped at {exact.cap} cannot be read up to degree {hi}")
 
 
 def pool_workers(threads: int, replicates: int) -> int:
@@ -159,8 +174,8 @@ def _finite_or_none(x: float) -> float | None:
     return float(x) if np.isfinite(x) else None
 
 
-def _merge_cells(observed: np.ndarray, expected: np.ndarray, min_expected: float = 5.0):
-    """Group adjacent cells until each group's expectation reaches the floor.
+def _merge_cells(observed: np.ndarray, expected: np.ndarray):
+    """Group adjacent cells until each group's expectation reaches MIN_EXPECTED.
 
     A trailing underfull group is folded into the previous one. Returns
     (obs_groups, exp_groups, inert). inert says that twice the last
@@ -176,13 +191,13 @@ def _merge_cells(observed: np.ndarray, expected: np.ndarray, min_expected: float
         joins = e_acc
         o_acc += o
         e_acc += e
-        if e_acc >= min_expected:
+        if e_acc >= MIN_EXPECTED:
             obs_g.append(o_acc)
             exp_g.append(e_acc)
             o_acc = e_acc = 0.0
     if not joins and exp_g:
         joins = exp_g[-1]  # holds the last cell too if it closed a group: not inert
-    inert = bool(joins) and joins + 2.0 * e == joins and 2.0 * e < min_expected
+    inert = bool(joins) and joins + 2.0 * e == joins and 2.0 * e < MIN_EXPECTED
     if e_acc > 0 or o_acc > 0:
         if obs_g:
             obs_g[-1] += o_acc
@@ -226,13 +241,6 @@ def chi2_threshold(level: float, dof: int) -> float:
     return float(2.0 * special.gammaincinv(dof / 2.0, level))
 
 
-def _check_same_chain(cfg: RunConfig, m: int, exact: MixtureDistribution | None) -> None:
-    """Raise unless m, and the exact law when given, are the ensemble's."""
-    if m != cfg.m or exact is not None and (exact.params, exact.time) != (cfg.params, cfg.t):
-        raise ConfigurationError(f"ensemble (m={cfg.m}, m0={cfg.m0}, t={cfg.t}) and law "
-                                 f"parameters differ")
-
-
 def fit_cap(t: int, m: int, k_max: int) -> int:
     """The cap compare rolls its law to: max(k_max + 1, m + ceil(16 sqrt t)).
 
@@ -241,13 +249,13 @@ def fit_cap(t: int, m: int, k_max: int) -> int:
     return max(k_max + 1, m + int(np.ceil(FIT_CAP_ROOTS * np.sqrt(t))))
 
 
-def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
-                     level: float = CHI2_LEVEL) -> FitReport:
+def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution) -> FitReport:
     """Chi-square of pooled counts against the exact finite-t law.
 
-    Cells follow the expected-count >= 5 rule with adjacent merging; the
-    report flags failure when the statistic exceeds the `level` quantile
-    of the chi-square law with the matching degrees of freedom. When the
+    Cells follow the expected-count >= MIN_EXPECTED rule with adjacent
+    merging; the report flags failure when the statistic exceeds the
+    CHI2_LEVEL quantile of the chi-square law with the matching degrees
+    of freedom. Its tail exponent is fitted over k in [5m, 50m]. When the
     cells merge into one group there are no degrees of freedom to test:
     the report is inconclusive, with no threshold, and does not pass.
 
@@ -265,7 +273,7 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
     the full law and needs no proof.
     """
     cfg = stats.config
-    _check_same_chain(cfg, cfg.m, exact)
+    stats.check_law(exact)
     n_obs = stats.replicates * stats.num_vertices
     counts = stats.counts
 
@@ -284,11 +292,9 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
     chi2 = float(((obs_g - exp_g) ** 2 / exp_g).sum())
     dof = len(obs_g) - 1
     testable = dof >= 1  # a single group leaves no degree of freedom
-    threshold = chi2_threshold(level, dof) if testable else float("nan")
-    m = cfg.m
-    freq = stats.freq
-    upto = min(len(freq) - 1, len(exact.probs_full) - 1)
-    gaps = np.abs(freq[m: upto + 1] - exact.probs_full[m: upto + 1])
+    threshold = chi2_threshold(CHI2_LEVEL, dof) if testable else float("nan")
+    m, top = cfg.m, min(len(counts), len(exact.probs_full))
+    gaps = np.abs(stats.freq[m:top] - exact.probs_full[m:top])
     return FitReport(
         chi2=chi2, dof=dof, threshold=threshold, passed=testable and chi2 <= threshold,
         exponent=_exponent_window(stats, 5 * m, 50 * m),
@@ -297,25 +303,25 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution,
     )
 
 
-def compare_to_limit(stats: EnsembleStats, m: int, k_range: tuple,
-                     exponent_range: tuple = (5, 50),
+def compare_to_limit(stats: EnsembleStats, k_range: tuple,
                      exact: MixtureDistribution | None = None) -> FitReport:
-    """Relative gaps of empirical frequencies vs the limiting law.
+    """Relative gaps of empirical frequencies vs the limit at the ensemble's m.
 
-    Precondition check: the exact finite-t law must already sit closer to
-    the limit than the ensemble's statistical resolution over k_range;
-    when it does not, the report is flagged inconclusive rather than
-    failed. Pass `exact` when the caller already holds the law at
-    (m, m0, t); it is rolled here otherwise, only up to degree hi + 1,
-    since no cell above hi is read. m must be the ensemble's.
+    k_range = (lo, hi) must satisfy m <= lo <= hi. Precondition check:
+    the exact finite-t law must already sit closer to the limit than the
+    ensemble's statistical resolution over k_range; when it does not,
+    the report is flagged inconclusive rather than failed. Pass `exact`
+    when the caller holds the ensemble's law rolled past hi; otherwise it
+    is rolled here up to degree hi + 1. The tail exponent is fitted over
+    k in [5, 50] at every m.
     """
-    cfg = stats.config
-    _check_same_chain(cfg, m, exact)
-    lo, hi = k_range
-    if lo < m:
-        raise ConfigurationError("k_range must start at or above m")
+    cfg, (lo, hi) = stats.config, k_range
+    m = cfg.m
+    if not m <= lo <= hi:
+        raise ConfigurationError(f"k_range ({lo}, {hi}) must satisfy m <= lo <= hi (m={m})")
     if exact is None:
         exact = network_distribution(cfg.t, cfg.params, k_max=hi, cap=hi + 1)
+    stats.check_law(exact, hi)
     ks = np.arange(lo, hi + 1)
     limit = np.array([steady_state(int(k), m) for k in ks])
     exact_window = padded(exact.probs_full, hi + 1)[lo:]
@@ -323,11 +329,10 @@ def compare_to_limit(stats: EnsembleStats, m: int, k_range: tuple,
     inconclusive = bool(np.any(np.abs(exact_window - limit) > resolution))
     emp = padded(stats.freq, hi + 1)[lo:]
     rel_gaps = np.abs(emp - limit) / limit
-    exponent = _exponent_window(stats, *exponent_range)
     return FitReport(
         chi2=float("nan"), dof=0, threshold=float("nan"),
         passed=bool(np.all(rel_gaps < 0.05)) and not inconclusive,
-        exponent=exponent, max_gap=float(rel_gaps.max()),
+        exponent=_exponent_window(stats, 5, 50), max_gap=float(rel_gaps.max()),
         rel_gaps=rel_gaps, inconclusive=inconclusive,
     )
 

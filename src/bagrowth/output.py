@@ -102,8 +102,9 @@ def write_steady_json(m: int, k_max: int, path) -> None:
 
 def write_stats_csv(stats: EnsembleStats, exact: MixtureDistribution, path,
                     header: str = "") -> None:
-    """CSV 'k,count,freq,se,p_exact,p_limit' over the exact law's window."""
+    """CSV 'k,count,freq,se,p_exact,p_limit' over the window of the ensemble's law."""
     m, n = stats.config.m, int(exact.k[-1]) + 1
+    stats.check_law(exact, n - 1)
     counts, freq, se = (padded(x, n) for x in (stats.counts, stats.freq, stats.se))
     rows = [(k, int(counts[k]), float(freq[k]), float(se[k]), p, steady_state(k, m))
             for k, p in zip(exact.k.tolist(), exact.probs)]

@@ -66,7 +66,7 @@ def test_criterion_5_monte_carlo_agreement():
     stats = bg.run_replicates(cfg, threads=4)
     exact = bg.network_distribution(10_000, bg.ChainParams(m=1, m0=3))
     fit = bg.compare_to_exact(stats, exact)
-    limit = bg.compare_to_limit(stats, 1, (1, 8))
+    limit = bg.compare_to_limit(stats, (1, 8))
     ok = (bool(np.all(limit.rel_gaps < 0.05))
           and not limit.inconclusive
           and fit.passed

@@ -90,28 +90,47 @@ def test_compare_to_limit_requires_matching_exact_law():
     for t, m0 in ((21, 3), (20, 4)):
         exact = bg.network_distribution(t, bg.ChainParams(m=1, m0=m0))
         with pytest.raises(bg.ConfigurationError):
-            bg.compare_to_limit(stats, 1, (1, 5), exact=exact)
+            bg.compare_to_limit(stats, (1, 5), exact=exact)
     exact = bg.network_distribution(20, bg.ChainParams(m=2, m0=3))
     with pytest.raises(bg.ConfigurationError):
-        bg.compare_to_limit(stats, 1, (1, 5), exact=exact)
+        bg.compare_to_limit(stats, (1, 5), exact=exact)
 
 
-def test_compare_to_limit_requires_the_ensembles_m():
-    # an m=1 ensemble read against the m=2 limit
+def test_compare_to_limit_refuses_a_law_capped_within_k_range():
+    # cell 4 of a law capped at 4 lumps every degree >= 4: it is not P(4)
+    params = bg.ChainParams(m=1, m0=3)
+    stats = bg.run_replicates(bg.RunConfig(m0=3, m=1, t=300, seed=3, replicates=4))
+    for cap in (4, 8):
+        law = bg.network_distribution(300, params, k_max=3, cap=cap)
+        with pytest.raises(bg.ConfigurationError, match=f"capped at {cap}"):
+            bg.compare_to_limit(stats, (1, 8), exact=law)
+    bg.compare_to_limit(stats, (1, 8), exact=bg.network_distribution(300, params, 3, cap=9))
+    # a full law is 0 above its top reachable degree (4 at t=2), so any hi may read it
+    tiny = bg.run_replicates(bg.RunConfig(m0=3, m=1, t=2, seed=3, replicates=4))
+    bg.compare_to_limit(tiny, (1, 8), exact=bg.network_distribution(2, params, 3))
+
+
+@pytest.mark.parametrize("m, k_range", [(1, (5, 3)), (1, (0, 5)), (2, (1, 6))])
+def test_compare_to_limit_refuses_a_k_range_outside_m_lo_hi(m, k_range):
+    stats = bg.run_replicates(bg.RunConfig(m0=3, m=m, t=20, seed=1, replicates=2))
+    with pytest.raises(bg.ConfigurationError, match="m <= lo <= hi"):
+        bg.compare_to_limit(stats, k_range)
+
+
+def test_write_stats_csv_refuses_another_chains_law(tmp_path):
     stats = bg.run_replicates(bg.RunConfig(m0=3, m=1, t=20, seed=1, replicates=2))
-    with pytest.raises(bg.ConfigurationError, match="parameters differ"):
-        bg.compare_to_limit(stats, 2, (2, 6))
-    exact = bg.network_distribution(20, bg.ChainParams(m=1, m0=3))
-    with pytest.raises(bg.ConfigurationError, match="parameters differ"):
-        bg.compare_to_limit(stats, 2, (2, 6), exact=exact)
+    exact = bg.network_distribution(21, bg.ChainParams(m=1, m0=3))
+    with pytest.raises(bg.ConfigurationError, match="differ"):
+        output.write_stats_csv(stats, exact, tmp_path / "stats.csv")
+    assert not (tmp_path / "stats.csv").exists()
 
 
 def test_compare_to_limit_given_law_matches_rolled():
     cfg = bg.RunConfig(m0=3, m=1, t=300, seed=3, replicates=10)
     stats = bg.run_replicates(cfg)
     exact = bg.network_distribution(300, bg.ChainParams(m=1, m0=3))
-    given = bg.compare_to_limit(stats, 1, (1, 6), exact=exact)
-    rolled = bg.compare_to_limit(stats, 1, (1, 6))
+    given = bg.compare_to_limit(stats, (1, 6), exact=exact)
+    rolled = bg.compare_to_limit(stats, (1, 6))
     assert given.as_dict() == rolled.as_dict()
     assert np.array_equal(given.rel_gaps, rolled.rel_gaps)
 
@@ -205,14 +224,14 @@ def test_compare_to_limit_inconclusive_at_small_t():
     # at tiny t the exact law is still far from the limit
     cfg = bg.RunConfig(m0=3, m=1, t=30, seed=7, replicates=500)
     stats = bg.run_replicates(cfg)
-    report = bg.compare_to_limit(stats, 1, (1, 5))
+    report = bg.compare_to_limit(stats, (1, 5))
     assert report.inconclusive
 
 
 def test_compare_to_limit_large_t():
     cfg = bg.RunConfig(m0=3, m=1, t=4000, seed=99, replicates=60)
     stats = bg.run_replicates(cfg, threads=2)
-    report = bg.compare_to_limit(stats, 1, (1, 6))
+    report = bg.compare_to_limit(stats, (1, 6))
     assert not report.inconclusive
     assert np.all(report.rel_gaps < 0.1)
 
@@ -222,7 +241,7 @@ def test_sequential_baseline_tail_exponent():
     cfg = bg.RunConfig(m0=5, m=2, t=3000, seed=1234, scheme="sequential",
                        replicates=20)
     stats = bg.run_replicates(cfg, threads=2)
-    report = bg.compare_to_limit(stats, 2, (2, 10))
+    report = bg.compare_to_limit(stats, (2, 10))
     assert 2.6 <= -report.exponent <= 3.4
 
 

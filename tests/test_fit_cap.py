@@ -67,7 +67,7 @@ def _fit_outputs(stats, law, path):
     """What compare makes of a law: the fit, the limit report and both files."""
     m = stats.config.m
     fit = bg.compare_to_exact(stats, law)
-    limit = bg.compare_to_limit(stats, m, (m, min(8 * m, int(law.k[-1]))), exact=law)
+    limit = bg.compare_to_limit(stats, (m, min(8 * m, int(law.k[-1]))), exact=law)
     output.write_stats_csv(stats, law, str(path) + ".stats.csv")
     output.write_report_json(fit, str(path) + ".report.json",
                              meta={"limit_max_rel_gap": float(limit.max_gap),

@@ -107,6 +107,14 @@ def test_computation_modules_write_no_files(module):
             assert node.module != "json", f"{module}.py imports from json"
 
 
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so the package checks with explicit raises
+    for path in sorted(Path(bagrowth.__file__).parent.glob("*.py")):
+        lines = [n.lineno for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
 def test_write_json_refuses_non_finite_numbers(tmp_path, x):
     with pytest.raises(ValueError):
