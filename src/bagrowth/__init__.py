@@ -8,12 +8,8 @@ from .chain import (
     MixtureDistribution,
     closed_form_pmt,
     evolve_vertex,
-    evolve_vertex_exact,
-    first_passage,
     network_distribution,
-    p_via_first_passage,
     passage_curve,
-    transition,
 )
 from .ensemble import (
     EnsembleStats,
@@ -44,8 +40,7 @@ from .limits import (
 __all__ = [
     "__version__",
     "ChainParams", "DegreeLaw", "MixtureDistribution", "closed_form_pmt",
-    "evolve_vertex", "evolve_vertex_exact", "first_passage", "network_distribution",
-    "p_via_first_passage", "passage_curve", "transition",
+    "evolve_vertex", "network_distribution", "passage_curve",
     "EnsembleStats", "FitReport", "compare_to_exact", "compare_to_limit",
     "run_replicates",
     "ConfigurationError", "EnumerationBoundError", "VerificationError",

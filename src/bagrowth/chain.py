@@ -2,12 +2,12 @@
 
 The degree of a fixed vertex is a nonhomogeneous Markov chain: between
 times t and t+1 it either stays at k or moves to k+1 with probability
-k/(2t + d), where d = N0/m and N0 = m0*(m0-1). This module rolls that
-chain forward per vertex, reconstructs the same law through the
-first-passage decomposition (an independent route used as a cross
-check), averages over vertices into the network-level law, and
-evaluates the closed-form product-sum expression for the probability of
-the minimum degree.
+k/(2t + d), where d = N0/m and N0 = m0*(m0-1); ``_kernels.roll`` writes
+that step. This module rolls the chain forward per vertex, reconstructs
+the same law through the first-passage sum (``passage_curve``, an
+independent route used as a cross check), averages over vertices into
+the network-level law, and evaluates the closed-form product-sum
+expression for the probability of the minimum degree.
 """
 
 from dataclasses import dataclass
@@ -48,19 +48,6 @@ class ChainParams:
         return Fraction(self.n0, self.m)
 
 
-def transition(k: int, t: int, params: ChainParams):
-    """(p_stay, p_up) for the step from time t to t+1 at degree k.
-
-    t = 0 is the step in which the first new vertex arrives; it is needed
-    when evolving initial-vertex laws from their point mass at t = 0.
-    """
-    d = params.d
-    if t < 0 or k < 1 or k > 2 * t + d:
-        raise ConfigurationError(f"unreachable state (k={k}, t={t})")
-    p_up = k / (2 * t + d)
-    return 1.0 - p_up, p_up
-
-
 def _start_of(i: int, params: ChainParams, t_max: int | None = None,
               k: int | None = None):
     """(start_time, start_degree) for vertex label i.
@@ -89,6 +76,7 @@ class DegreeLaw:
     degree holding a normal double at time t; every other degree has
     probability exactly 0. The rows are concatenated in ``values``: row
     t is ``values[offsets[j]:offsets[j + 1]]`` with j = t - start_time.
+    Program code reads ``column``; checks read rows and cells in ``table``.
     """
 
     vertex: int
@@ -107,19 +95,6 @@ class DegreeLaw:
         """Largest reachable degree at t_max; dense rows have k_max + 1 cells."""
         return self.start_degree + self.t_max - self.start_time
 
-    def _band(self, t: int) -> np.ndarray:
-        if not self.start_time <= t <= self.t_max:
-            raise ConfigurationError(f"time {t} outside [{self.start_time}, {self.t_max}]")
-        j = t - self.start_time
-        return self.values[self.offsets[j]:self.offsets[j + 1]]
-
-    def row(self, t: int) -> np.ndarray:
-        """The law at time t over degrees 0..k_max (a new array)."""
-        band = self._band(t)
-        out = np.zeros(self.k_max + 1)
-        out[self.start_degree:self.start_degree + len(band)] = band
-        return out
-
     def column(self, k: int) -> np.ndarray:
         """P(k, i, t) for t = start_time..t_max (a new array)."""
         j = k - self.start_degree
@@ -130,17 +105,12 @@ class DegreeLaw:
             out[held] = self.values[starts[held] + j]
         return out
 
-    def prob(self, k: int, t: int) -> float:
-        band = self._band(t)
-        j = k - self.start_degree
-        return float(band[j]) if 0 <= j < len(band) else 0.0
-
     @property
     def table(self) -> np.ndarray:
         """Dense read-only (steps, k_max + 1) copy, for verification only.
 
         It is 2.5 times the band's size at t_max = 3700 (110 MB for vertex
-        1 of m=1, m0=3); use row, column or prob in program code.
+        1 of m=1, m0=3); use column in program code.
         """
         out = np.zeros((len(self.offsets) - 1, self.k_max + 1))
         deg0 = self.start_degree
@@ -180,63 +150,27 @@ def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
                      values=values[:end], offsets=offsets)
 
 
-def evolve_vertex_exact(i: int, t_max: int, params: ChainParams) -> list:
-    """Rational-arithmetic twin of evolve_vertex (small t only).
-
-    Returns a list of dicts {k: Fraction} per time start..t_max; used as
-    a cross-check oracle for the floating-point roll.
-    """
-    start, deg0 = _start_of(i, params, t_max)
-    d = params.d_exact
-    rows = [{deg0: Fraction(1)}]
-    cur = rows[0]
-    for t in range(start, t_max):
-        den = 2 * t + d
-        nxt = {}
-        for k, p in cur.items():
-            up = Fraction(k) / den
-            nxt[k] = nxt.get(k, Fraction(0)) + p * (1 - up)
-            nxt[k + 1] = nxt.get(k + 1, Fraction(0)) + p * up
-        cur = {k: v for k, v in nxt.items() if v != 0}
-        rows.append(cur)
-    return rows
-
-
-def _check_law(law: DegreeLaw, i: int, params: ChainParams, t: int) -> None:
-    """Raise unless law is vertex i's law under params and reaches time t."""
-    if (law.vertex, law.params) != (i, params) or law.t_max < t:
-        raise ConfigurationError(f"law of vertex {law.vertex} under {law.params} to "
-                                 f"t={law.t_max} read as vertex {i}'s under {params} at t={t}")
-
-
-def first_passage(k: int, i: int, s: int, law: DegreeLaw, params: ChainParams) -> float:
-    """Probability that vertex i first reaches degree k at time s.
-
-    f(k,i,s) = P(k-1, i, s-1) * (k-1)/(2(s-1) + d), read from vertex i's
-    law. Returns exact 0 below the earliest possible passage time.
-    """
-    start, deg0 = _start_of(i, params, k=k)
-    _check_law(law, i, params, s - 1)
-    if s < start + (k - deg0):
-        return 0.0
-    return law.prob(k - 1, s - 1) * (k - 1) / (2.0 * (s - 1) + params.d)
-
-
 def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
                   law: DegreeLaw | None = None) -> np.ndarray:
     """P(k, i, t) for all t in start..t_max via the first-passage sum.
 
-    Evaluates sum_s f(k,i,s) * prod_{j=s}^{t-1} (1 - k/(2j+d)) with the
-    survival products carried as log1p sums, factored as
-    exp(L[t] - L[s]) and summed in the log domain, so no term overflows.
-    This route consumes only the degree-(k-1) column of the per-vertex law,
-    so it is independent of the forward roll of the degree-k column it is
-    checked against. A given law must be vertex i's under params up to
-    t_max - 1, the last time the sum reads; it is rolled here otherwise.
+    Cell t - start is P(k, i, t) = sum_s f(k,i,s) * prod_{j=s}^{t-1}
+    (1 - k/(2j+d)), where f(k,i,s) = P(k-1, i, s-1) * (k-1)/(2(s-1) + d)
+    is the probability that vertex i first reaches degree k at time s
+    (0 before the earliest passage time). The survival products are
+    carried as log1p sums, factored as exp(L[t] - L[s]) and summed in the
+    log domain, so no term overflows. This route reads only the
+    degree-(k-1) column of the per-vertex law, so it is independent of
+    the forward roll of the degree-k column it is checked against. A
+    given law must be vertex i's under params up to t_max - 1, the last
+    time the sum reads; it is rolled here otherwise.
     """
     start, deg0 = _start_of(i, params, t_max, k)
-    if law is not None:
-        _check_law(law, i, params, t_max - 1)
+    if law is not None and ((law.vertex, law.params) != (i, params)
+                            or law.t_max < t_max - 1):
+        raise ConfigurationError(f"law of vertex {law.vertex} under {law.params} to t="
+                                 f"{law.t_max} read as vertex {i}'s under {params} at "
+                                 f"t={t_max - 1}")
     d = params.d
     out = np.zeros(t_max - start + 1)
     s_min = start + (k - deg0)
@@ -258,13 +192,6 @@ def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
     return out
 
 
-def p_via_first_passage(k: int, i: int, t: int, params: ChainParams,
-                        law: DegreeLaw | None = None) -> float:
-    """P(k, i, t) reconstructed from first-passage probabilities."""
-    start, _ = _start_of(i, params)
-    return float(passage_curve(k, i, t, params, law=law)[t - start])
-
-
 @dataclass
 class MixtureDistribution:
     """Network-level degree law P(k, t) averaged over all vertices.
@@ -281,7 +208,6 @@ class MixtureDistribution:
     k: np.ndarray            # reported degrees m..k_max
     probs: np.ndarray
     tail: float              # mass above k_max, summed directly
-    pbar: np.ndarray         # new-vertex-only average over the same window
     probs_full: np.ndarray   # cells 0..cap, the last holding the mass at degrees >= cap
     mean_degree: float
 
@@ -354,7 +280,6 @@ def network_distribution(t: int, params: ChainParams, k_max: int | None = None, 
     s_new, s_init, moment = mixture_roll(m, m0, params.d, t, cap=cap)
     probs_full = (s_new + s_init) / n
     probs = padded(probs_full, k_max + 1)[m:]
-    pbar = padded(s_new, k_max + 1)[m:] / t
     tail = float(probs_full[k_max + 1:].sum())
     mean = float((np.arange(cap) * probs_full[:cap]).sum()) + moment / n
     total = float(probs_full.sum())
@@ -365,17 +290,20 @@ def network_distribution(t: int, params: ChainParams, k_max: int | None = None, 
         raise VerificationError(f"network law at t={t} has mean degree "
                                 f"{mean!r}, not {want_mean!r}")
     return MixtureDistribution(time=t, params=params, k=np.arange(m, k_max + 1),
-                               probs=probs, tail=tail, pbar=pbar, probs_full=probs_full,
+                               probs=probs, tail=tail, probs_full=probs_full,
                                mean_degree=mean)
 
 
 def min_degree_prob_at_t1(params: ChainParams) -> float:
-    """P(m, 1): the network-level probability of degree m at time 1."""
+    """P(m, 1): the network-level probability of degree m at time 1.
+
+    The new vertex has degree m surely; each initial vertex starts at
+    m0-1 and steps up from t=0 with probability (m0-1)/d (bits tested).
+    """
     m, m0 = params.m, params.m0
-    acc = 1.0  # the single new vertex has degree m surely
-    init_law = evolve_vertex(-1, 1, params)
-    acc += m0 * init_law.prob(m, 1)
-    return acc / (1 + m0)
+    up = (m0 - 1) / params.d
+    p_init = 1.0 - up if m == m0 - 1 else up if m == m0 else 0.0
+    return (1.0 + m0 * p_init) / (1 + m0)
 
 
 def closed_form_pmt(t: int, params: ChainParams) -> float:

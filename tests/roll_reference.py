@@ -5,7 +5,10 @@
 steps shared one transition table per block: five ufuncs and a flush per
 step, on a window that ends at top + 1 (or at an absorbing cap). The
 tests pin both rolls to these references on every cell.
+``evolve_vertex_exact`` is the same chain in rational arithmetic.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,3 +97,25 @@ def evolve_band(i, t_max, params):
         bands.append(row[0, deg0:top + 1].copy())
     offsets = np.concatenate([[0], np.cumsum([len(b) for b in bands])]).astype(np.int64)
     return np.concatenate(bands), offsets
+
+
+def evolve_vertex_exact(i, t_max, params):
+    """Rational-arithmetic twin of ``chain.evolve_vertex`` (small t only).
+
+    Returns a list of dicts {k: Fraction} per time start..t_max; used as
+    a cross-check oracle for the floating-point roll.
+    """
+    start, deg0 = (i, params.m) if i >= 1 else (0, params.m0 - 1)
+    d = params.d_exact
+    rows = [{deg0: Fraction(1)}]
+    cur = rows[0]
+    for t in range(start, t_max):
+        den = 2 * t + d
+        nxt = {}
+        for k, p in cur.items():
+            up = Fraction(k) / den
+            nxt[k] = nxt.get(k, Fraction(0)) + p * (1 - up)
+            nxt[k + 1] = nxt.get(k + 1, Fraction(0)) + p * up
+        cur = {k: v for k, v in nxt.items() if v != 0}
+        rows.append(cur)
+    return rows

@@ -18,11 +18,6 @@ def _times(law):
     return range(law.start_time, law.t_max + 1)
 
 
-def _dense_rows(law):
-    """The law's rows as one (steps, k_max + 1) array, built from row(t)."""
-    return np.array([law.row(t) for t in _times(law)])
-
-
 def test_params_validation():
     with pytest.raises(bg.ConfigurationError):
         bg.ChainParams(m=0, m0=3)
@@ -33,53 +28,33 @@ def test_params_validation():
     assert P1.d_exact == Fraction(6)
 
 
-def test_transition_values():
-    stay, up = bg.transition(1, 1, P1)
-    assert (stay, up) == (7 / 8, 1 / 8)
-    stay, up = bg.transition(2, 5, P2)
-    assert up == pytest.approx(2 / 20)
-    assert stay + up == 1.0
-
-
-def test_transition_vanishes_with_time():
-    ups = [bg.transition(3, t, P1)[1] for t in range(1, 50)]
-    assert all(a > b for a, b in zip(ups, ups[1:]))
-
-
-def test_transition_domain_errors():
-    with pytest.raises(bg.ConfigurationError):
-        bg.transition(0, 1, P1)
-    with pytest.raises(bg.ConfigurationError):
-        bg.transition(100, 1, P1)  # k > 2t + d is unreachable
-
-
 def test_evolve_point_mass_at_entry():
     law = bg.evolve_vertex(5, 5, P2)
-    assert law.prob(2, 5) == 1.0
+    assert law.table[5 - law.start_time, 2] == 1.0
 
 
 def test_evolve_one_step_values():
     law = bg.evolve_vertex(1, 2, P1)
-    assert law.prob(1, 2) == pytest.approx(7 / 8, abs=1e-15)
-    assert law.prob(2, 2) == pytest.approx(1 / 8, abs=1e-15)
+    assert law.table[2 - law.start_time, 1] == pytest.approx(7 / 8, abs=1e-15)
+    assert law.table[2 - law.start_time, 2] == pytest.approx(1 / 8, abs=1e-15)
 
 
 def test_evolve_initial_vertex_starts_at_clique_degree():
     law = bg.evolve_vertex(-1, 0, P1)
-    assert law.prob(2, 0) == 1.0
+    assert law.table[0 - law.start_time, 2] == 1.0
 
 
 def test_rows_sum_to_one():
     for params, i, t_max in ((P1, 1, 1000), (P2, 3, 500), (P1, -2, 800)):
         law = bg.evolve_vertex(i, t_max, params)
-        sums = np.array([law.row(t).sum() for t in _times(law)])
+        sums = np.array([row.sum() for row in law.table])
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
 def test_support_zeros_are_structural():
     law = bg.evolve_vertex(4, 60, P2)
     for t in (4, 10, 60):
-        row = law.row(t)
+        row = law.table[t - law.start_time]
         # below entry degree and above m + t - i: exact zeros
         assert np.all(row[: P2.m] == 0.0)
         hi = P2.m + (t - 4)
@@ -88,7 +63,7 @@ def test_support_zeros_are_structural():
     # above each row's window top (its last normal cell) every cell is
     # exactly 0; vertex 1 of P1 starts flushing subnormal mass near t=1000
     for law in (law, bg.evolve_vertex(1, 1200, P1)):
-        for row in map(law.row, _times(law)):
+        for row in law.table:
             top = np.nonzero(row >= DBL_MIN)[0][-1]
             assert not row[top + 1:].any()
 
@@ -111,7 +86,7 @@ def _evolve_full_width(i, t_max, params):
 
 
 def test_evolve_vertex_flushes_only_subnormal_mass():
-    got = _dense_rows(bg.evolve_vertex(1, 3700, P1))
+    got = bg.evolve_vertex(1, 3700, P1).table
     want = _evolve_full_width(1, 3700, P1)
     assert got.shape == want.shape
     big = want >= 1e-280
@@ -123,7 +98,7 @@ def test_evolve_vertex_flushes_only_subnormal_mass():
 
 def test_evolve_vertex_bits_without_underflow():
     for i, t_max, params in ((4, 60, P2), (-2, 400, P1), (1, 2, P1)):
-        assert np.array_equal(_dense_rows(bg.evolve_vertex(i, t_max, params)),
+        assert np.array_equal(bg.evolve_vertex(i, t_max, params).table,
                               _evolve_full_width(i, t_max, params))
 
 
@@ -169,8 +144,9 @@ def test_band_keeps_the_dense_tables_bits(i, t_max, params, ks, ts):
     start, deg0 = law.start_time, law.start_degree
     ks = range(-1, law.k_max + 2) if ks is None else ks
     ts = _times(law) if ts is None else ts
-    assert law.table.tobytes() == dense.tobytes()
-    assert not law.table.flags.writeable
+    table = law.table
+    assert table.tobytes() == dense.tobytes()
+    assert not table.flags.writeable
     for k in ks:
         want = dense[:, k] if 0 <= k <= law.k_max else np.zeros(len(dense))
         assert law.column(k).tobytes() == want.tobytes()
@@ -179,10 +155,8 @@ def test_band_keeps_the_dense_tables_bits(i, t_max, params, ks, ts):
             ref = bg.passage_curve(k, i, t_max, params, law=_DenseLaw(i, t_max, params, dense))
             assert got.tobytes() == ref.tobytes()
     for t in ts:
-        assert law.row(t).tobytes() == dense[t - start].tobytes()
-        for k in (deg0 - 1, deg0, deg0 + (t - start) // 2, deg0 + t - start, law.k_max + 1):
-            want = dense[t - start, k] if 0 <= k <= law.k_max else 0.0
-            assert law.prob(k, t) == want
+        for k in (deg0 - 1, deg0, deg0 + (t - start) // 2, deg0 + t - start):
+            assert table[t - start, k] == dense[t - start, k]
 
 
 B = _kernels.ROLL_BLOCK
@@ -222,30 +196,12 @@ def test_evolve_errors():
 
 def test_exact_rational_cross_check():
     law = bg.evolve_vertex(1, 64, P2)
-    rows = bg.evolve_vertex_exact(1, 64, P2)
+    table = law.table
+    rows = roll_reference.evolve_vertex_exact(1, 64, P2)
     for ti, row in enumerate(rows):
         assert sum(row.values()) == 1  # exactly stochastic
         for k, fr in row.items():
-            assert abs(law.prob(k, law.start_time + ti) - float(fr)) < 1e-13
-
-
-def test_first_passage_simple():
-    law = bg.evolve_vertex(1, 2, P1)
-    assert bg.first_passage(2, 1, 2, law, P1) == pytest.approx(1 / 8, abs=1e-15)
-
-
-def test_first_passage_before_earliest_is_zero():
-    law = bg.evolve_vertex(1, 10, P1)
-    k, i = 4, 1
-    s_early = i + k - P1.m - 1
-    assert bg.first_passage(k, i, s_early, law, P1) == 0.0
-
-
-def test_first_passage_mass_bounded():
-    law = bg.evolve_vertex(1, 400, P1)
-    k, i = 3, 1
-    total = sum(bg.first_passage(k, i, s, law, P1) for s in range(i, 401))
-    assert 0.0 < total <= 1.0
+            assert abs(table[ti, k] - float(fr)) < 1e-13
 
 
 @pytest.mark.parametrize("law_of,why", [
@@ -257,8 +213,6 @@ def test_passage_refuses_a_law_of_another_chain(law_of, why):
     law = law_of()
     with pytest.raises(bg.ConfigurationError, match=why):
         bg.passage_curve(5, 1, 100, P1, law=law)
-    with pytest.raises(bg.ConfigurationError, match=why):
-        bg.first_passage(5, 1, 100, law, P1)
 
 
 def test_passage_takes_a_law_that_reaches_the_last_time_read():
@@ -266,20 +220,19 @@ def test_passage_takes_a_law_that_reaches_the_last_time_read():
     law = bg.evolve_vertex(1, 99, P1)
     want = bg.passage_curve(5, 1, 100, P1)
     assert bg.passage_curve(5, 1, 100, P1, law=law).tobytes() == want.tobytes()
-    assert bg.first_passage(5, 1, 100, law, P1) == bg.first_passage(
-        5, 1, 100, bg.evolve_vertex(1, 100, P1), P1)
 
 
 def test_passage_single_term():
     # t = i+1, k = m+1: one first-passage term, empty survival product
     for params, i in ((P1, 4), (P2, 7)):
         want = params.m / (2 * i + params.d)
-        got = bg.p_via_first_passage(params.m + 1, i, i + 1, params)
+        t = i + 1
+        got = bg.passage_curve(params.m + 1, i, t, params)[t - i]
         assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_passage_above_support_zero():
-    assert bg.p_via_first_passage(10, 3, 5, P1) == 0.0  # k > m + t - i
+    assert bg.passage_curve(10, 3, 5, P1)[5 - 3] == 0.0  # k > m + t - i
 
 
 def test_passage_matches_evolution_small():
@@ -311,15 +264,15 @@ def test_network_distribution_normalization_and_mean():
 
 
 def test_network_distribution_pbar_averages_new_vertices():
+    # the roll's new-vertex line s_new / t is the mean of the new vertices' laws
     t = 200
-    dist = bg.network_distribution(t, P1)
-    acc = np.zeros(len(dist.probs_full))
+    s_new, _, _ = _kernels.mixture_roll(P1.m, P1.m0, P1.d, t)
+    acc = np.zeros(len(s_new))
     for i in range(1, t + 1):
-        row = bg.evolve_vertex(i, t, P1).row(t)
+        law = bg.evolve_vertex(i, t, P1)
+        row = law.table[t - law.start_time]
         acc[: len(row)] += row
-    np.testing.assert_allclose(dist.pbar,
-                               (acc / t)[P1.m: P1.m + len(dist.pbar)],
-                               atol=1e-12)
+    np.testing.assert_allclose(s_new / t, acc / t, atol=1e-12)
 
 
 def test_network_distribution_errors():
@@ -384,7 +337,6 @@ def test_window_law_matches_full_roll(m, m0, t, k_max):
     assert full.tail == direct
     assert win.mean_degree == pytest.approx(full.mean_degree, rel=1e-12)
     assert np.array_equal(win.k, full.k)
-    assert np.array_equal(win.pbar, full.pbar)
     if k_max + 1 < max(m, m0 - 1) + t:
         assert len(win.probs_full) == k_max + 2
         assert win.probs_full[-1] == win.tail
@@ -419,7 +371,8 @@ def _network_distribution_naive(t, params):
     """O(t^2) reference: the network law averaged vertex by vertex over evolve_vertex."""
     acc = np.zeros(max(params.m, params.m0 - 1) + t + 1)
     for i in [*range(-params.m0, 0), *range(1, t + 1)]:
-        row = bg.evolve_vertex(i, t, params).row(t)
+        law = bg.evolve_vertex(i, t, params)
+        row = law.table[t - law.start_time]
         acc[:len(row)] += row
     return acc / (t + params.m0)
 
@@ -438,6 +391,16 @@ def test_closed_form_pmt_matches_solver():
             roll = bg.network_distribution(t, params).probs_full[params.m] \
                 if t >= 1 else None
             assert bg.closed_form_pmt(t, params) == pytest.approx(roll, abs=1e-10)
+
+
+def test_closed_form_p_m1_is_the_rolled_step():
+    # P(m, 1) in closed form keeps the bits of one rolled step of an initial
+    # vertex, on each branch: m == m0 - 1, m == m0 and m < m0 - 1
+    for m0 in range(2, 13):
+        for m in range(1, m0 + 1):
+            params = bg.ChainParams(m=m, m0=m0)
+            rolled = bg.evolve_vertex(-1, 1, params).table[1, m]
+            assert bg.closed_form_pmt(1, params) == (1.0 + m0 * rolled) / (1 + m0)
 
 
 def test_closed_form_pmt_limit():
