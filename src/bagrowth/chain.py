@@ -3,15 +3,17 @@
 The degree of a fixed vertex is a nonhomogeneous Markov chain: between
 times t and t+1 it either stays at k or moves to k+1 with probability
 k/(2t + d), where d = N0/m and N0 = m0*(m0-1); ``_kernels.roll`` writes
-that step. This module rolls the chain forward per vertex, reconstructs
-the same law through the first-passage sum (``passage_curve``, an
-independent route used as a cross check), averages over vertices into
-the network-level law, and evaluates the closed-form product-sum
-expression for the probability of the minimum degree.
+that step. This module rolls the chain forward per vertex when a
+column or the dense table is read, reconstructs the same law through
+the first-passage sum (``passage_curve``, an independent route used as
+a cross check), rolls the network-level law, the average over vertices,
+and evaluates the closed-form product-sum expression for the
+probability of the minimum degree.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import exp
 
 import numpy as np
@@ -70,84 +72,82 @@ def _start_of(i: int, params: ChainParams, t_max: int | None = None,
 
 @dataclass
 class DegreeLaw:
-    """P(k, i, t) for one vertex i over t = start_time..t_max, stored as a band.
+    """P(k, i, t) for one vertex i over t = start_time..t_max; no cells, rolled when read.
 
-    Row t holds the degrees [start_degree, top_t], where top_t is the last
-    degree holding a normal double at time t; every other degree has
-    probability exactly 0. The rows are concatenated in ``values``: row
-    t is ``values[offsets[j]:offsets[j + 1]]`` with j = t - start_time.
-    Program code reads ``column``; checks read rows and cells in ``table``.
+    Each roll steps the point mass at start_degree through ``_kernels.roll``
+    and raises VerificationError unless its last row, absorbing cell
+    included, sums to 1 within ROW_TOL.
     """
 
     vertex: int
     params: ChainParams
     start_time: int
     start_degree: int
-    values: np.ndarray   # float64, the rows' bands end to end
-    offsets: np.ndarray  # int64, shape (t_max - start_time + 2,)
-
-    @property
-    def t_max(self) -> int:
-        return self.start_time + len(self.offsets) - 2
+    t_max: int
 
     @property
     def k_max(self) -> int:
         """Largest reachable degree at t_max; dense rows have k_max + 1 cells."""
         return self.start_degree + self.t_max - self.start_time
 
+    def _rows(self, n: int, absorbing: bool):
+        """(row, top) per t, n cells from start_degree; checks the sum when asked past t_max."""
+        cells = np.zeros((n + 1, 1))  # the flush reads cell n
+        cells[0, 0] = 1.0
+        ks = np.arange(self.start_degree, self.start_degree + n, dtype=np.float64)
+        ks[-1] = 0.0 if absorbing else ks[-1]  # 0: up = 0, stay = 1, the cell absorbs
+        row = cells[:n, 0]
+        yield row, 0
+        for top in roll(cells, ks, self.start_time, self.t_max, self.params.d, 0):
+            yield row, top
+        if abs(float(row.sum()) - 1.0) > ROW_TOL:
+            raise VerificationError(f"law of vertex {self.vertex} at t={self.t_max} sums "
+                                    f"to {float(row.sum())!r}, not 1")
+
     def column(self, k: int) -> np.ndarray:
-        """P(k, i, t) for t = start_time..t_max (a new array)."""
-        j = k - self.start_degree
-        starts = self.offsets[:-1]
-        out = np.zeros(len(starts))
-        if j >= 0:
-            held = self.offsets[1:] - starts > j
-            out[held] = self.values[starts[held] + j]
-        return out
+        """P(k, i, t) for t = start_time..t_max (a new array), read from the table once built.
 
-    @property
-    def table(self) -> np.ndarray:
-        """Dense read-only (steps, k_max + 1) copy, for verification only.
-
-        It is 2.5 times the band's size at t_max = 3700 (110 MB for vertex
-        1 of m=1, m0=3); use column in program code.
+        Else rolls degrees start_degree..k+1 alone, k+1 absorbing the mass
+        above k, and keeps the table's bits in every cell at >= 1e-280 (tested).
         """
-        out = np.zeros((len(self.offsets) - 1, self.k_max + 1))
+        j = k - self.start_degree
+        if j < 0 or k > self.k_max:
+            return np.zeros(self.t_max - self.start_time + 1)
+        if "table" in vars(self):  # cached_property's slot
+            return self.table[:, k].copy()
+        n = min(j + 2, self.k_max - self.start_degree + 1)  # no cell absorbs at the top degree
+        return np.fromiter((row[j] for row, _ in self._rows(n, n == j + 2)), np.float64)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Dense read-only (steps, k_max + 1) law, for verification only; rolled once, cached.
+
+        110 MB for vertex 1 of m=1, m0=3 at t_max = 3700. Raises VerificationError
+        unless its last row's mean is start_degree * prod_{s=start_time}^{t_max-1}
+        (1 + 1/(2s + d)) within a relative ROW_TOL.
+        """
         deg0 = self.start_degree
-        for dense, lo, hi in zip(out, self.offsets[:-1], self.offsets[1:]):
-            dense[deg0:deg0 + hi - lo] = self.values[lo:hi]
+        out = np.zeros((self.t_max - self.start_time + 1, self.k_max + 1))
+        for (row, top), dense in zip(self._rows(len(out), False), out):
+            dense[deg0:deg0 + top + 1] = row[:top + 1]
+        mean = float(out[-1] @ np.arange(self.k_max + 1))
+        times = np.arange(self.start_time, self.t_max)
+        want = deg0 * float((1.0 + 1.0 / (2.0 * times + self.params.d)).prod())
+        if abs(mean - want) > ROW_TOL * want:
+            raise VerificationError(f"law of vertex {self.vertex} at t={self.t_max} has "
+                                    f"mean degree {mean!r}, not {want!r}")
         out.flags.writeable = False
         return out
 
 
 def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
-    """Exact law of vertex i's degree, rolled forward to t_max.
+    """Exact law of vertex i's degree to t_max; validates, allocates and rolls nothing.
 
-    New vertices start as a point mass at degree m at time t = i; initial
-    vertices start at degree m0-1 at time 0. The law rolls as (steps, 1)
-    cells from start_degree through ``_kernels.roll``, whose top is the
-    last degree holding a normal double, and [start_degree, top] of
-    cells[:, 0] is copied into the band (see DegreeLaw) after each step.
-    Every cell the full-width roll holds at >= 1e-280 keeps its bits.
-    Cost is O(steps * top) in time and at most steps * top floats: 44 MB
-    for vertex 1 of m=1, m0=3 at t_max=3700, against 110 MB dense.
+    New vertices start at degree m at time t = i; initial ones at degree m0-1 at time 0.
     """
     start, deg0 = _start_of(i, params, t_max)
-    steps = t_max - start + 1
-    # row j spans at most j+1 degrees; pages past the band are never touched
-    values = np.empty(steps * (steps + 1) // 2)
-    offsets = np.empty(steps + 1, dtype=np.int64)
-    cells = np.zeros((steps, 1))
-    cells[0, 0] = values[0] = 1.0
-    offsets[:2] = 0, 1
-    row, end = cells[:, 0], 1
-    ks = np.arange(deg0, deg0 + steps, dtype=np.float64)
-    for j, top in enumerate(roll(cells, ks, start, t_max, params.d, 0), 2):
-        values[end:end + top + 1] = row[:top + 1]
-        end += top + 1
-        offsets[j] = end  # row j-1 ends here
     return DegreeLaw(vertex=i, params=params, start_time=start, start_degree=deg0,
-                     values=values[:end], offsets=offsets)
+                     t_max=t_max)
 
 
 def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
@@ -163,7 +163,7 @@ def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
     degree-(k-1) column of the per-vertex law, so it is independent of
     the forward roll of the degree-k column it is checked against. A
     given law must be vertex i's under params up to t_max - 1, the last
-    time the sum reads; it is rolled here otherwise.
+    time the sum reads; without one, degrees start..k alone are rolled.
     """
     start, deg0 = _start_of(i, params, t_max, k)
     if law is not None and ((law.vertex, law.params) != (i, params)

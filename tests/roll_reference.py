@@ -1,7 +1,7 @@
 """Step-at-a-time references for the blocked degree-law rolls.
 
 ``roll_step`` and ``flush_top`` are the kernel that
-``_kernels.mixture_roll`` and ``chain.evolve_vertex`` ran before their
+``_kernels.mixture_roll`` and the per-vertex law ran before their
 steps shared one transition table per block: five ufuncs and a flush per
 step, on a window that ends at top + 1 (or at an absorbing cap). The
 tests pin both rolls to these references on every cell.
@@ -80,7 +80,7 @@ def mixture_roll(m, m0, d, t, cap=None):
 
 
 def evolve_band(i, t_max, params):
-    """(values, offsets) of ``chain.evolve_vertex(i, t_max, params)``, one roll_step per step."""
+    """(values, offsets): vertex i's rows over [start_degree, top], one roll_step per step."""
     start, deg0 = (i, params.m) if i >= 1 else (0, params.m0 - 1)
     kmax = deg0 + (t_max - start)
     ks = np.arange(kmax + 1, dtype=np.float64)

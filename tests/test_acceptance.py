@@ -34,6 +34,7 @@ def test_criterion_2_oracle_equivalence():
         t_max = 200
         for i in range(1, t_max + 1):
             law = bg.evolve_vertex(i, t_max, params)
+            law.table  # rolled once; passage_curve and column read it
             deg0 = law.start_degree
             for k in range(deg0 + 1, deg0 + (t_max - i) + 1):
                 curve = bg.passage_curve(k, i, t_max, params, law=law)

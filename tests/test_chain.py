@@ -103,7 +103,7 @@ def test_evolve_vertex_bits_without_underflow():
 
 
 def _evolve_dense(i, t_max, params):
-    """Reference: the dense (steps, k_max + 1) roll that the band replaced."""
+    """Reference: the dense (steps, k_max + 1) roll, one roll_step per step."""
     start, deg0 = (i, params.m) if i >= 1 else (0, params.m0 - 1)
     kmax = deg0 + (t_max - start)
     table = np.zeros((t_max - start + 1, kmax + 1))
@@ -122,7 +122,7 @@ def _evolve_dense(i, t_max, params):
 
 
 class _DenseLaw:
-    """A law read from a dense table, as passage_curve read it before the band."""
+    """A law read from a dense table: passage_curve's reference reader."""
 
     def __init__(self, i, t_max, params, table):
         self.vertex, self.t_max, self.params, self.table = i, t_max, params, table
@@ -131,13 +131,16 @@ class _DenseLaw:
         return self.table[:, k]
 
 
-@pytest.mark.parametrize("i,t_max,params,ks,ts", [
+DENSE_CASES = [  # (i, t_max, params, ks, ts); None: every k, every t
     (1, 3700, P1, (1, 2, 300, 2000, 2520, 2521, 2522, 3700), (1, 2, 1000, 2500, 3700)),
     (4, 60, P2, None, None),
     (-2, 400, P1, None, None),
     (1, 1200, P1, None, None),
     (2, 90, bg.ChainParams(m=3, m0=4), None, None),
-])
+]
+
+
+@pytest.mark.parametrize("i,t_max,params,ks,ts", DENSE_CASES)
 def test_band_keeps_the_dense_tables_bits(i, t_max, params, ks, ts):
     law = bg.evolve_vertex(i, t_max, params)
     dense = _evolve_dense(i, t_max, params)
@@ -159,32 +162,101 @@ def test_band_keeps_the_dense_tables_bits(i, t_max, params, ks, ts):
             assert table[t - start, k] == dense[t - start, k]
 
 
+@pytest.mark.parametrize("i,t_max,params,ks,ts", DENSE_CASES)
+def test_capped_column_keeps_the_tables_bits(i, t_max, params, ks, ts):
+    # column(k) of a fresh law rolls degrees start..k+1, k+1 absorbing;
+    # roll promises the full roll's bits only at >= 1e-280, yet here every
+    # cell keeps them, subnormal and flushed ones included. At t_max = 1200
+    # (~9 ms a column) every 10th k from 995 up, where the flush acts from
+    # t = 996 on, the last three, and every 50th below 995.
+    table = bg.evolve_vertex(i, t_max, params).table
+    k_max = table.shape[1] - 1
+    if ks is None:
+        ks = range(-1, k_max + 2)
+        if t_max == 1200:
+            ks = [*range(-1, 995, 50), *range(995, k_max - 1, 10), *range(k_max - 1, k_max + 2)]
+    for k in ks:
+        want = table[:, k] if 0 <= k <= k_max else np.zeros(len(table))
+        assert bg.evolve_vertex(i, t_max, params).column(k).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("drop,match", [(1e-9, "sums to"), (5e-13, "mean degree")])
+def test_per_vertex_rolls_check_mass_and_mean(monkeypatch, drop, match):
+    # a roll that takes drop from the top cell in its last step: the
+    # column's and the table's sum checks see 1e-9, only the table's mean
+    # check sees 5e-13 (~100 * drop against a mean of 5.2)
+    from bagrowth import chain
+
+    roll = chain.roll
+
+    def leaky(cells, ks, first, last, d, top):
+        for s, top in enumerate(roll(cells, ks, first, last, d, top), first + 1):
+            if s == last:
+                cells[top, 0] -= drop
+            yield top
+
+    monkeypatch.setattr(chain, "roll", leaky)
+    law = bg.evolve_vertex(1, 100, P1)
+    if match == "sums to":
+        with pytest.raises(bg.VerificationError, match="vertex 1 at t=100 sums to"):
+            law.column(5)
+    else:
+        law.column(5)
+    with pytest.raises(bg.VerificationError, match=match):
+        law.table
+
+
 B = _kernels.ROLL_BLOCK
 
 
 @pytest.mark.parametrize("span", [0, 1, B - 1, B, B + 1, 3000])
 @pytest.mark.parametrize("m,m0", [(1, 2), (1, 3), (2, 4), (3, 5), (3, 3), (2, 2)])
 def test_evolve_vertex_matches_per_step_reference(m, m0, span, flushes):
-    # the band and its offsets, every cell, across block edges; at span
-    # 3000 the reference flushes subnormal mass at the top
+    # the reference's band expanded to dense rows, every cell, across block
+    # edges; at span 3000 the reference flushes subnormal mass at the top
     params = bg.ChainParams(m=m, m0=m0)
     for i in (-m0, -1, 1, 5):
         t_max = max(i, 0) + span
         values, offsets = roll_reference.evolve_band(i, t_max, params)
         assert any(flushes) == (span == 3000)
         law = bg.evolve_vertex(i, t_max, params)
-        assert law.offsets.tobytes() == offsets.tobytes()
-        assert law.values.tobytes() == values.tobytes()
+        deg0, table = law.start_degree, law.table
+        assert table.shape == (len(offsets) - 1, law.k_max + 1)
+        dense = np.empty(law.k_max + 1)
+        for row, lo, hi in zip(table, offsets[:-1], offsets[1:]):  # one dense row at a time
+            dense[:] = 0.0
+            dense[deg0:deg0 + hi - lo] = values[lo:hi]
+            assert row.tobytes() == dense.tobytes()
+        # a capped roll per column; at span 3000 (~25 ms a column) only
+        # vertex 1's cell above the last row's top, flushed in the table
+        top = deg0 + offsets[-1] - offsets[-2] - 1
+        ks = range(-1, law.k_max + 2) if span < 3000 else (top + 1,) if i == 1 else ()
+        for k in ks:
+            want = table[:, k] if 0 <= k <= law.k_max else np.zeros(len(table))
+            assert bg.evolve_vertex(i, t_max, params).column(k).tobytes() == want.tobytes()
 
 
 def test_band_holds_only_the_normal_cells():
-    law = bg.evolve_vertex(1, 3700, P1)
-    widths = np.diff(law.offsets)
-    assert widths[0] == 1 and np.all(np.diff(widths) <= 1)
-    last = law.values[law.offsets[1:] - 1]  # each row's top cell
-    assert np.all(last >= DBL_MIN)
-    steps = len(widths)
-    assert law.values.nbytes < 0.41 * steps * (law.k_max + 1) * 8  # 43.8 of 109.5 MB
+    table = bg.evolve_vertex(1, 3700, P1).table
+    tops = [np.nonzero(row)[0][-1] for row in table]  # each row's last non-zero cell
+    assert np.all(table[np.arange(len(table)), tops] >= DBL_MIN)
+    assert tops[0] == P1.m and np.all(np.diff(tops) <= 1)
+
+
+@pytest.mark.parametrize("k,t_max,peak_mb", [(300, 60_000, 8.0), (2000, 3700, 1.0)])
+def test_passage_curve_rolls_in_memory_linear_in_time(k, t_max, peak_mb):
+    # no law given: the roll holds degrees m..k only; a band of every row
+    # asked for 14.4 GB at t_max = 6e4 and the dense table 110 MB at 3700
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        curve = bg.passage_curve(k, 1, t_max, P1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == t_max and np.all((curve >= 0.0) & (curve < 1.0))
+    assert peak < peak_mb * 2**20
 
 
 def test_evolve_errors():
@@ -239,6 +311,7 @@ def test_passage_matches_evolution_small():
     for params in (P1, P2):
         for i in (1, 2, 7, -1):
             law = bg.evolve_vertex(i, 60, params)
+            law.table  # rolled once; passage_curve and column read it
             deg0 = law.start_degree
             for k in range(deg0 + 1, deg0 + 60 - law.start_time + 1):
                 curve = bg.passage_curve(k, i, 60, params, law=law)

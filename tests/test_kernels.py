@@ -397,8 +397,11 @@ def test_every_step_runs_on_1d_contiguous_cells(monkeypatch):
     monkeypatch.setattr(np, "multiply", recording(np.multiply))
     monkeypatch.setattr(np, "add", recording(np.add))
     _kernels.mixture_roll(1, 3, 6.0, 300, cap=40)
-    chain.evolve_vertex(1, 300, chain.ChainParams(m=1, m0=3))
-    assert len(operands) == 9 * (300 + 299)  # two multiplies and one add per step
+    law = chain.evolve_vertex(1, 300, chain.ChainParams(m=1, m0=3))
+    law.column(20)  # a capped roll
+    law.table  # the full roll
+    law.column(20)  # read from the table
+    assert len(operands) == 9 * (300 + 2 * 299)  # two multiplies and one add per step
     assert all(a.ndim == 1 and a.flags.c_contiguous for a in operands)
 
 
