@@ -3,13 +3,15 @@
 Growth consumes pre-drawn uniform variates, m per step, so a fixed seed
 gives a fixed graph. There is one kernel per scheme: holme-kim at m=1
 resolves every target at once by pointer jumping over the endpoint
-list; holme-kim at m>1 runs a Python step loop of O(m) work per step;
+list; holme-kim at m>1 writes the new vertex's half of every grown edge
+and each block's first-pick slots in NumPy, so its Python step loop, of
+O(m) work per step, only draws neighbours and writes targets;
 sequential draws each target by a descent of a Fenwick tree over the
 integer degrees. ``grow`` dispatches between them.
 """
 
 from array import array
-from itertools import combinations
+from itertools import count
 
 import numpy as np
 
@@ -154,7 +156,7 @@ def _grow_holme_kim_m1(m0, t, u):
     return edges, degree
 
 
-BLOCK = 4096  # rows of uniforms unboxed per .tolist()
+BLOCK = 1024  # steps of uniforms unboxed per .tolist()
 
 
 def _rows(uniforms):
@@ -175,47 +177,67 @@ def _grow_holme_kim(m0, m, t, uniforms):
     attached to it, in arrival order. An initial vertex's ``later``
     starts with the rest of the clique, ascending. The shuffle records
     only the displaced positions, so no neighbour list is walked.
+
+    What needs no earlier step is written before the loop: the clique,
+    the new vertex's half of every grown edge, each grown vertex's
+    starting degree m, and, per block of BLOCK steps, every first-pick
+    slot as one vector (a slot below tdeg was written by an earlier
+    step). The loop writes only target slots, degrees and ``later``.
+    The first neighbour draw needs no record of displaced positions,
+    since nothing has moved yet; draws 2..m-1 keep one in ``moved``.
     """
     e_init = m0 * (m0 - 1) // 2
     endpoints = array("q", bytes(16 * (e_init + m * t)))  # slot p of the endpoint list
-    endpoints[:2 * e_init] = array("q", [v for pair in combinations(range(m0), 2)
-                                         for v in pair])
-    degree = array("q", [m0 - 1]) * m0 + array("q", bytes(8 * t))
+    ends = np.frombuffer(endpoints, np.int64)  # a view, for the writes before the loop
+    ends[:2 * e_init:2], ends[1:2 * e_init:2] = np.triu_indices(m0, 1)
+    ends[2 * e_init:].reshape(t, 2 * m)[:, ::2] = np.arange(m0, m0 + t)[:, None]
+    degree = array("q", [m0 - 1]) * m0 + array("q", [m]) * t
     later = [array("q", [w for w in range(m0) if w != v]) for v in range(m0)] + [None] * t
     own_slot = 2 * e_init + 1 - 2 * m * m0  # + 2*(m*v + q): grown v's target q
-    pos = tdeg = 2 * e_init
-    for new, u in enumerate(_rows(uniforms), m0):
-        idx = int(u[0] * tdeg)
-        if idx >= tdeg:
-            idx = tdeg - 1
-        first = endpoints[idx]
-        cnt = degree[first]
-        own = m if first >= m0 else 0
-        targets = [first]
-        moved = {}  # position -> the position whose neighbour it now holds
-        for j in range(m - 1):
-            r = j + int(u[j + 1] * (cnt - j))
+    pos = 2 * e_init + 1  # the next target slot
+    for lo in range(0, t, BLOCK):
+        rows = uniforms[lo:lo + BLOCK]
+        tdeg = 2 * (e_init + m * np.arange(lo, lo + len(rows), dtype=np.int64))
+        slots = np.minimum((rows[:, 0] * tdeg).astype(np.int64), tdeg - 1).tolist()
+        for new, slot, u1, more in zip(count(m0 + lo), slots, rows[:, 1].tolist(),
+                                        rows[:, 2:].tolist()):
+            first = endpoints[slot]
+            cnt = degree[first]
+            degree[first] = cnt + 1
+            endpoints[pos] = first
+            pos += 2
+            own = m if first >= m0 else 0
+            hist = later[first]  # new is appended below, after every position drawn
+            r = int(u1 * cnt)
             if r >= cnt:
                 r = cnt - 1
-            p = moved.get(r, r)
-            moved[r] = moved.get(j, j)
-            q = cnt - 1 - p
-            if q < own:
-                targets.append(endpoints[own_slot + 2 * (m * first + q)])
+            q = cnt - 1 - r
+            targets = [endpoints[own_slot + 2 * (m * first + q)] if q < own
+                       else hist[q - own]]
+            if hist is None:
+                later[first] = array("q", (new,))
             else:
-                targets.append(later[first][q - own])
-        for v in targets:
-            endpoints[pos] = new
-            endpoints[pos + 1] = v
-            pos += 2
-            degree[v] += 1
-            if later[v] is None:
-                later[v] = array("q", (new,))
-            else:
-                later[v].append(new)
-        degree[new] = m
-        tdeg += 2 * m
-    return np.frombuffer(endpoints, np.int64).reshape(-1, 2), np.frombuffer(degree, np.int64)
+                hist.append(new)
+            if more:
+                moved = {r: 0}  # position -> the position whose neighbour it now holds
+                for j, u in enumerate(more, 1):
+                    r = j + int(u * (cnt - j))
+                    if r >= cnt:
+                        r = cnt - 1
+                    p = moved.get(r, r)
+                    moved[r] = moved.get(j, j)
+                    q = cnt - 1 - p
+                    targets.append(endpoints[own_slot + 2 * (m * first + q)] if q < own
+                                   else hist[q - own])
+            for v in targets:
+                endpoints[pos] = v
+                pos += 2
+                degree[v] += 1
+                if later[v] is None:
+                    later[v] = array("q", (new,))
+                else:
+                    later[v].append(new)
+    return ends.reshape(-1, 2), np.frombuffer(degree, np.int64)
 
 
 def _grow_sequential(m0, m, t, uniforms):

@@ -10,7 +10,7 @@ import sys
 
 from . import __version__
 from .chain import ChainParams, default_k_max, network_distribution
-from .ensemble import compare_to_exact, compare_to_limit, fit_cap, run_replicates
+from .ensemble import check_threads, compare_to_exact, compare_to_limit, fit_cap, run_replicates
 from .errors import ConfigurationError, VerificationError
 from .graph import HOLME_KIM, SCHEMES, RunConfig, generate, verify_proposition
 from .limits import steady_state
@@ -125,6 +125,7 @@ def cmd_steady(args) -> int:
 def cmd_compare(args) -> int:
     config = RunConfig(m0=args.m0, m=args.m, t=args.t, scheme=args.scheme,
                        seed=args.seed, replicates=args.replicates)
+    check_threads(args.threads)  # before the law's roll, which can take seconds
     # the law is rolled first, so a bad --t or --k-max fails before any growth
     k_max = default_k_max(config.t, config.m) if args.k_max is None else args.k_max
     exact = network_distribution(config.t, config.params, k_max=k_max,

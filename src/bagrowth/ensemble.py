@@ -115,6 +115,12 @@ def fan_out(threads: int, replicates: int, first_s: float) -> int:
     return workers if saving > POOL_START_S else 0
 
 
+def check_threads(threads: int) -> None:
+    """Raise ConfigurationError unless threads >= 1."""
+    if threads < 1:
+        raise ConfigurationError("threads must be >= 1")
+
+
 def run_replicates(config: RunConfig, threads: int = 1) -> EnsembleStats:
     """Generate config.replicates independent graphs and pool degree counts.
 
@@ -122,8 +128,7 @@ def run_replicates(config: RunConfig, threads: int = 1) -> EnsembleStats:
     most `threads` workers only when ``fan_out`` finds the pool pays for
     its start. Either way the counts are the same.
     """
-    if threads < 1:
-        raise ConfigurationError("threads must be >= 1")
+    check_threads(threads)
     children = SeedSequence(config.seed).spawn(config.replicates)
     jobs = [(config, child) for child in children]
     start = time.perf_counter()

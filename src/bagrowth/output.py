@@ -12,11 +12,12 @@ import json
 import numpy as np
 
 from . import __version__
-from ._kernels import BLOCK
 from .chain import MixtureDistribution, padded
 from .ensemble import EnsembleStats, FitReport
 from .graph import GraphState, degree_histogram
 from .limits import CesaroDiagnostic, steady_state
+
+EDGE_BLOCK = 4096  # edges labelled and formatted per write
 
 
 def header(**kv) -> str:
@@ -52,8 +53,8 @@ def write_edge_list(state: GraphState, path, header: str = "") -> None:
     with open(path, "w") as fh:
         if header:
             fh.write(header + "\n")
-        for lo in range(0, len(state.edges), BLOCK):  # no labelled copy of all edges
-            flat = lab[state.edges[lo:lo + BLOCK]].ravel().tolist()
+        for lo in range(0, len(state.edges), EDGE_BLOCK):  # no labelled copy of all edges
+            flat = lab[state.edges[lo:lo + EDGE_BLOCK]].ravel().tolist()
             fh.write(("%d %d\n" * (len(flat) // 2)) % tuple(flat))
 
 

@@ -278,11 +278,15 @@ def test_verify_proposition_bound_below_a_state_exits_1(capsys, bound):
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])
-def test_compare_rejects_threads_below_1(tmp_path, capsys, threads):
+def test_compare_rejects_threads_below_1(tmp_path, capsys, monkeypatch, threads):
+    def called(*args, **kwargs):
+        raise AssertionError("a bad --threads must fail before any roll or growth")
+
+    monkeypatch.setattr("bagrowth.cli.network_distribution", called)
     code = run(["compare", "--m0", "3", "--m", "1", "--t", "10", "--seed", "1",
                 "--replicates", "2", "--threads", threads, "--out", str(tmp_path / "cmp")])
     assert code == 1
-    assert "threads" in capsys.readouterr().err
+    assert "threads must be >= 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

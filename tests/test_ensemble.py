@@ -46,6 +46,13 @@ def test_worker_count_does_not_change_results(force_pool):
     assert np.array_equal(a.rep_counts, b.rep_counts)
 
 
+@pytest.mark.parametrize("threads", [0, -5])
+def test_run_replicates_rejects_threads_below_1(threads):
+    cfg = bg.RunConfig(m0=3, m=1, t=10, seed=1, replicates=2)
+    with pytest.raises(bg.ConfigurationError, match="threads must be >= 1"):
+        bg.run_replicates(cfg, threads=threads)
+
+
 def test_pool_workers_are_bounded_by_chunks():
     # arithmetic only: no pool is started
     assert CHUNKSIZE == 8
@@ -73,7 +80,7 @@ def test_fan_out_decision():
     assert fan_out(0, r, 10.0) == 0
     assert fan_out(4, 9, 10.0) == 0                # 8 replicates fill one chunk
     # replicate times measured on 2 vCPUs: m=1, t=5000 takes 0.17-0.5 ms,
-    # m=2, t=2000 takes 3.4-3.8 ms; only the second pays for a pool
+    # m=2, t=2000 takes 4.0-4.4 ms; only the second pays for a pool
     assert fan_out(2, r, 0.0005) == 0
     assert fan_out(2, r, 0.0034) == 2
 

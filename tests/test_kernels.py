@@ -126,7 +126,7 @@ def _grow_reference(m0, m, t, uniforms, sequential):
 
 @pytest.mark.parametrize("sequential", [False, True])
 @pytest.mark.parametrize("m0,m,t", [(3, 1, 200), (5, 2, 200), (4, 4, 100)])
-def test_grow_jit_matches_plain(sequential, m0, m, t):
+def test_grow_matches_reference(sequential, m0, m, t):
     rng = np.random.default_rng(123)
     uniforms = rng.random((t, m))
     e1, d1 = _kernels.grow(m0, m, t, uniforms, sequential)
@@ -155,6 +155,23 @@ def test_grow_matches_reference_at_large_degrees(sequential, m0, m, t):
     uniforms = np.random.default_rng(99).random((t, m))
     e1, d1 = _kernels.grow(m0, m, t, uniforms, sequential)
     e2, d2 = _grow_reference(m0, m, t, uniforms, sequential)
+    assert e1.dtype == e2.dtype and d1.dtype == d2.dtype
+    assert np.array_equal(e1, e2)
+    assert np.array_equal(d1, d2)
+
+
+G = _kernels.BLOCK
+
+
+@pytest.mark.parametrize("m0,m,t", [
+    (3, 2, G - 1), (3, 2, G), (3, 2, G + 1),
+    (4, 3, G - 1), (4, 3, G), (4, 3, G + 1),  # m=3 takes draws past the first
+    (2, 2, G + 1), (3, 3, G + 1)])  # m0 = m: initial vertices own no targets
+def test_grow_matches_reference_at_block_edges(m0, m, t):
+    # holme-kim at m>1 computes first picks per block of G steps
+    uniforms = np.random.default_rng(m0 + 10 * m + t).random((t, m))
+    e1, d1 = _kernels.grow(m0, m, t, uniforms, False)
+    e2, d2 = _grow_reference(m0, m, t, uniforms, False)
     assert e1.dtype == e2.dtype and d1.dtype == d2.dtype
     assert np.array_equal(e1, e2)
     assert np.array_equal(d1, d2)
