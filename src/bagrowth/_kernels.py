@@ -32,35 +32,32 @@ def _flush_top(lines, top):
     return top
 
 
-def roll(cells, ks, first, last, d, top, inject=None):
+def roll(cells, k0, first, last, d, top):
     """Step the laws in cells in place from time first to last, yielding top per step.
 
     cells is a C-contiguous (n, r) float64 array, cell-major: law i holds
-    degree ks[c] at cells[c, i] and is zero above cell top. A step from
-    time s moves mass at k to k+1 with probability k/(2s + d), adds 1.0
-    at cells.reshape(-1)[inject] when inject is given, then lowers top
-    past cells below DBL_MIN (2.2e-308) in every law, setting them to
-    exact 0, so no step runs on subnormals. Blocks of ROLL_BLOCK steps
-    share one table of up = ks/(2s + d), stay = 1 - up (each ks repeated
-    r times) over cells 0..min(top + steps, len(ks) - 1); a step is three
-    in-place ufuncs on 1-D contiguous views of the flat cells, each cell
-    getting x[k]*stay[k] + x[k-1]*up[k-1]. Cells above top + 1 hold +0
-    and keep it, so the window changes no bit. The flush reads cell top +
-    1, so cell len(ks) must exist and hold 0 if top can reach cell
-    len(ks) - 1. Given ks[-1] = 0 (up = 0, stay = 1), that cell absorbs
-    exactly the flux out of the cell below, and no cell reads it. Once
-    top reaches it the flush is skipped: it could change nothing, since
-    the cell only grows and the cell above it is never written.
+    degree k0 + c at cells[c, i] and is zero above cell top. A step from
+    time s moves mass at k to k+1 with probability k/(2s + d); the last
+    cell absorbs (up 0, stay 1), so it gains the flux out of the cell
+    below and loses none. Then top is lowered past cells below DBL_MIN
+    (2.2e-308) in every law, which are set to exact 0, so no step runs
+    on subnormals. Blocks of ROLL_BLOCK steps share one table of up =
+    k/(2s + d), stay = 1 - up (each k repeated r times) over cells
+    0..min(top + steps, n - 1); a step is three in-place ufuncs on 1-D
+    contiguous views of the flat cells, each cell getting x[k]*stay[k] +
+    x[k-1]*up[k-1]. Cells above top + 1 hold +0 and keep it, so the
+    window changes no bit. The flush reads cell top + 1; once top
+    reaches the absorbing cell it is skipped, since it could change
+    nothing: that cell only grows.
     """
     if not (isinstance(cells, np.ndarray) and cells.ndim == 2
             and cells.dtype == np.float64 and cells.flags.c_contiguous):
         raise ValueError("cells must be a 2-D C-contiguous float64 array")
-    r = cells.shape[1]
+    edge, r = cells.shape[0] - 1, cells.shape[1]  # edge: the absorbing cell
     lines = list(cells.T)  # strided views, for the flush's scalar reads
     flat = cells.reshape(-1)  # a view, never a copy, given the check above
-    edge = len(ks) - 1  # the last cell a step may touch
-    saturated = edge if ks[edge] == 0 else -1  # the top past which no flush can act
-    kr = np.repeat(ks, r)
+    kr = np.repeat(np.arange(k0, k0 + edge + 1, dtype=np.float64), r)
+    kr[edge * r:] = 0.0  # the absorbing cell: up 0, stay 1
     buf = np.empty(2 * ROLL_BLOCK * len(kr))  # every block's tables; no page faults per block
     mul, add = np.multiply, np.add  # a positional out skips keyword parsing
     for lo in range(first, last, ROLL_BLOCK):
@@ -75,9 +72,7 @@ def roll(cells, ks, first, last, d, top, inject=None):
             mul(below, up_b, flux)
             mul(seg, stay_b, seg)
             add(above, flux, above)
-            if inject is not None:
-                flat[inject] += 1.0
-            if top != saturated:
+            if top != edge:
                 top = _flush_top(lines, top + 1)
             yield top
 
@@ -88,11 +83,11 @@ def mixture_roll(m, m0, d, t, *, cap=None):
     Returns (s_new, s_init, moment): sums of per-vertex laws over the t
     new vertices and the m0 initial vertices over cells 0..cap, and the
     first moment of the mass in cell cap. Network law =
-    (s_new+s_init)/(t+m0). Both roll as the two lines of one (cap + 2,
-    2) array through ``roll``, each new vertex injected at s_new[m], and
-    cost O(t * (min(cap, top) + 1)), top being the last cell holding a
-    normal double: about 4600 at t=1e4 and 11100 at t=5e4 (m=1, m0=3).
-    s_new and s_init are returned as contiguous copies.
+    (s_new+s_init)/(t+m0). Both roll as the two lines of one (cap + 1,
+    2) array through ``roll``, each new vertex added at s_new[m] after
+    its step, and cost O(t * (min(cap, top) + 1)), top being the last
+    cell holding a normal double: about 4600 at t=1e4 and 11100 at
+    t=5e4 (m=1, m0=3). s_new and s_init are returned as contiguous copies.
 
     Cell cap is absorbing: it holds the sum of every cell >= cap, and the
     cells below it keep their bits. cap defaults to kcap = max(m, m0-1)
@@ -110,20 +105,19 @@ def mixture_roll(m, m0, d, t, *, cap=None):
         cap = kcap
     elif not m < cap <= kcap:
         raise ValueError(f"cap {cap} outside ({m}, {kcap}]")
-    sums = np.zeros((cap + 2, 2))  # the flush reads cell cap + 1
+    sums = np.zeros((cap + 1, 2))
     start = min(m0 - 1, cap)
     sums[start, 1] = float(m0)
-    ks = np.arange(cap + 1, dtype=np.float64)
-    ks[cap] = 0.0  # up = 0, stay = 1: the cell absorbs
     moment = float((m0 - 1) * m0) if start == cap else 0.0
     feed = cap - 1
     held = float(sums[feed, 0] + sums[feed, 1])  # cell cap - 1 before the step
-    for s, top in enumerate(roll(sums, ks, 0, t, d, max(m, start), inject=2 * m)):
+    for s, top in enumerate(roll(sums, 0, 0, t, d, max(m, start))):
+        sums[m, 0] += 1.0  # the step's new vertex; top >= m without it, so the flush agrees
         if held or moment:
             den = 2.0 * s + d
             moment += moment / den + cap * (held * feed / den)
         held = float(sums[feed, 0] + sums[feed, 1]) if top >= feed else 0.0
-    s_new, s_init = np.ascontiguousarray(sums[:cap + 1].T)
+    s_new, s_init = np.ascontiguousarray(sums.T)
     return s_new, s_init, moment
 
 

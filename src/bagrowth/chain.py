@@ -75,8 +75,8 @@ class DegreeLaw:
     """P(k, i, t) for one vertex i over t = start_time..t_max; no cells, rolled when read.
 
     Each roll steps the point mass at start_degree through ``_kernels.roll``
-    and raises VerificationError unless its last row, absorbing cell
-    included, sums to 1 within ROW_TOL.
+    over the degrees it reads and one more, roll's absorbing cell, and
+    raises VerificationError unless its last row sums to 1 within ROW_TOL.
     """
 
     vertex: int
@@ -90,15 +90,13 @@ class DegreeLaw:
         """Largest reachable degree at t_max; dense rows have k_max + 1 cells."""
         return self.start_degree + self.t_max - self.start_time
 
-    def _rows(self, n: int, absorbing: bool):
-        """(row, top) per t, n cells from start_degree; checks the sum when asked past t_max."""
-        cells = np.zeros((n + 1, 1))  # the flush reads cell n
+    def _rows(self, n: int):
+        """(row, top) per t over n cells from start_degree, the last absorbing; checks the sum."""
+        cells = np.zeros((n, 1))
         cells[0, 0] = 1.0
-        ks = np.arange(self.start_degree, self.start_degree + n, dtype=np.float64)
-        ks[-1] = 0.0 if absorbing else ks[-1]  # 0: up = 0, stay = 1, the cell absorbs
-        row = cells[:n, 0]
+        row = cells[:, 0]
         yield row, 0
-        for top in roll(cells, ks, self.start_time, self.t_max, self.params.d, 0):
+        for top in roll(cells, self.start_degree, self.start_time, self.t_max, self.params.d, 0):
             yield row, top
         if abs(float(row.sum()) - 1.0) > ROW_TOL:
             raise VerificationError(f"law of vertex {self.vertex} at t={self.t_max} sums "
@@ -115,8 +113,7 @@ class DegreeLaw:
             return np.zeros(self.t_max - self.start_time + 1)
         if "table" in vars(self):  # cached_property's slot
             return self.table[:, k].copy()
-        n = min(j + 2, self.k_max - self.start_degree + 1)  # no cell absorbs at the top degree
-        return np.fromiter((row[j] for row, _ in self._rows(n, n == j + 2)), np.float64)
+        return np.fromiter((row[j] for row, _ in self._rows(j + 2)), np.float64)
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -128,7 +125,8 @@ class DegreeLaw:
         """
         deg0 = self.start_degree
         out = np.zeros((self.t_max - self.start_time + 1, self.k_max + 1))
-        for (row, top), dense in zip(self._rows(len(out), False), out):
+        # degrees deg0..k_max + 1: no mass reaches the absorbing k_max + 1
+        for (row, top), dense in zip(self._rows(len(out) + 1), out):
             dense[deg0:deg0 + top + 1] = row[:top + 1]
         mean = float(out[-1] @ np.arange(self.k_max + 1))
         times = np.arange(self.start_time, self.t_max)

@@ -142,9 +142,7 @@ def run_replicates(config: RunConfig, threads: int = 1) -> EnsembleStats:
     else:
         per_rep += map(_replicate_counts, jobs[1:])
     width = max(len(c) for c in per_rep)
-    rep_counts = np.zeros((config.replicates, width), dtype=np.int64)
-    for r, c in enumerate(per_rep):
-        rep_counts[r, : len(c)] = c
+    rep_counts = np.array([padded(c, width) for c in per_rep], dtype=np.int64)
     return EnsembleStats(config=config, rep_counts=rep_counts)
 
 
@@ -227,23 +225,23 @@ def _chi2_table() -> np.ndarray:
     return np.load(os.path.join(os.path.dirname(__file__), "chi2_0999.npy"))
 
 
-def chi2_threshold(level: float, dof: int) -> float:
-    """The `level` quantile of the chi-square law with `dof` degrees of freedom.
+def chi2_threshold(dof: int) -> float:
+    """The CHI2_LEVEL quantile of the chi-square law with `dof` degrees of freedom.
 
-    The value is ``2*gammaincinv(dof/2, level)``, which is how
-    scipy.stats.chi2.ppf computes it, bit for bit. At level ==
-    CHI2_LEVEL and dof in 1..CHI2_TABLE_DOF it is read from the table
-    ``chi2_0999.npy`` (entry dof-1, loaded on the first call), so no
-    ``compare`` inside that range imports scipy; only outside it is
-    scipy.special imported. The table was made with scipy 1.17.1 by::
+    The value is ``2*gammaincinv(dof/2, CHI2_LEVEL)``, which is how
+    scipy.stats.chi2.ppf computes it, bit for bit. For dof in
+    1..CHI2_TABLE_DOF it is read from the table ``chi2_0999.npy`` (entry
+    dof-1, loaded on the first call), so no ``compare`` inside that range
+    imports scipy; only outside it is scipy.special imported. The table
+    was made with scipy 1.17.1 by::
 
         python -c "import numpy as np, scipy.special as s; np.save('src/bagrowth/chi2_0999.npy', 2 * s.gammaincinv(np.arange(1, 2001) / 2, 0.999))"
     """
-    if level == CHI2_LEVEL and dof in range(1, CHI2_TABLE_DOF + 1):
+    if dof in range(1, CHI2_TABLE_DOF + 1):
         return float(_chi2_table()[int(dof) - 1])
     from scipy import special
 
-    return float(2.0 * special.gammaincinv(dof / 2.0, level))
+    return float(2.0 * special.gammaincinv(dof / 2.0, CHI2_LEVEL))
 
 
 def fit_cap(t: int, m: int, k_max: int) -> int:
@@ -297,7 +295,7 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution) -> FitRep
     chi2 = float(((obs_g - exp_g) ** 2 / exp_g).sum())
     dof = len(obs_g) - 1
     testable = dof >= 1  # a single group leaves no degree of freedom
-    threshold = chi2_threshold(CHI2_LEVEL, dof) if testable else float("nan")
+    threshold = chi2_threshold(dof) if testable else float("nan")
     m, top = cfg.m, min(len(counts), len(exact.probs_full))
     gaps = np.abs(stats.freq[m:top] - exact.probs_full[m:top])
     return FitReport(

@@ -189,8 +189,8 @@ def test_per_vertex_rolls_check_mass_and_mean(monkeypatch, drop, match):
 
     roll = chain.roll
 
-    def leaky(cells, ks, first, last, d, top):
-        for s, top in enumerate(roll(cells, ks, first, last, d, top), first + 1):
+    def leaky(cells, k0, first, last, d, top):
+        for s, top in enumerate(roll(cells, k0, first, last, d, top), first + 1):
             if s == last:
                 cells[top, 0] -= drop
             yield top

@@ -400,6 +400,29 @@ def test_only_an_unsaturated_window_is_flushed(monkeypatch, t, cap, flushes):
     assert len(calls) == flushes
 
 
+@pytest.mark.parametrize("t_max,k,flushes", [(3700, 299, 299), (3700, 1999, 2578),
+                                             (40, 40, 39), (400, None, 399)])
+def test_only_an_unsaturated_per_vertex_window_is_flushed(monkeypatch, t_max, k, flushes):
+    # column(k) rolls degrees 1..k+1 of vertex 1, k+1 absorbing: at k=299
+    # top climbs one cell per step to it, after which the flush is
+    # skipped; at k=1999 the flush holds top below it until step 2578.
+    # The top degree's column (k=40) and the table roll one cell past
+    # k_max, which no mass reaches, so every step flushes.
+    from bagrowth import chain
+
+    calls = []
+    flush_top = _kernels._flush_top
+
+    def counting(lines, top):
+        calls.append(top)
+        return flush_top(lines, top)
+
+    monkeypatch.setattr(_kernels, "_flush_top", counting)
+    law = chain.evolve_vertex(1, t_max, chain.ChainParams(m=1, m0=3))
+    law.table if k is None else law.column(k)
+    assert len(calls) == flushes
+
+
 def test_every_step_runs_on_1d_contiguous_cells(monkeypatch):
     from bagrowth import chain
 
@@ -426,9 +449,8 @@ def test_every_step_runs_on_1d_contiguous_cells(monkeypatch):
                                    np.zeros(8), np.zeros((8, 4))[:, :2]])
 def test_roll_refuses_cells_it_would_copy(cells):
     # reshape(-1) copies such cells, and the roll would step the copy
-    ks = np.arange(7, dtype=np.float64)
     with pytest.raises(ValueError, match="C-contiguous"):
-        next(_kernels.roll(cells, ks, 0, 5, 6.0, 0))
+        next(_kernels.roll(cells, 0, 0, 5, 6.0, 0))
 
 
 def _names(node):
