@@ -5,7 +5,9 @@ gives a fixed graph. There is one kernel per scheme: holme-kim at m=1
 resolves every target at once by pointer jumping over the endpoint
 list; holme-kim at m>1 writes the new vertex's half of every grown edge
 and each block's first-pick slots in NumPy, so its Python step loop, of
-O(m) work per step, only draws neighbours and writes targets;
+O(m) work per step, only draws neighbours and writes targets, reading a
+vertex's degree from the length of its neighbour record (no degree
+array; both holme-kim kernels return the endpoint list's bincount);
 sequential draws each target by a descent of a Fenwick tree over the
 integer degrees. ``grow`` dispatches between them.
 """
@@ -168,24 +170,26 @@ def _grow_holme_kim(m0, m, t, uniforms):
     list, newest first: position p of cnt holds insertion index cnt-1-p.
     In insertion order, a grown vertex's neighbours are its m targets,
     read from the endpoint list, then ``later[v]``: the vertices that
-    attached to it, in arrival order. An initial vertex's ``later``
-    starts with the rest of the clique, ascending. The shuffle records
-    only the displaced positions, so no neighbour list is walked.
+    attached to it, in arrival order (None until one does). An initial
+    vertex's ``later`` starts with the rest of the clique, ascending.
+    So no degree is stored: cnt is m + len(later[v]) for a grown vertex
+    and len(later[v]) for an initial one. The shuffle records only the
+    displaced positions, so no neighbour list is walked.
 
     What needs no earlier step is written before the loop: the clique,
-    the new vertex's half of every grown edge, each grown vertex's
-    starting degree m, and, per block of BLOCK steps, every first-pick
-    slot as one vector (a slot below tdeg was written by an earlier
-    step). The loop writes only target slots, degrees and ``later``.
+    the new vertex's half of every grown edge and, per block of BLOCK
+    steps, every first-pick slot as one vector (a slot below tdeg was
+    written by an earlier step). The loop writes each target straight
+    into its endpoint slot and appends the new vertex to its ``later``.
     The first neighbour draw needs no record of displaced positions,
     since nothing has moved yet; draws 2..m-1 keep one in ``moved``.
+    The degree is the endpoint list's bincount.
     """
     e_init = m0 * (m0 - 1) // 2
     endpoints = array("q", bytes(16 * (e_init + m * t)))  # slot p of the endpoint list
     ends = np.frombuffer(endpoints, np.int64)  # a view, for the writes before the loop
     ends[:2 * e_init:2], ends[1:2 * e_init:2] = np.triu_indices(m0, 1)
     ends[2 * e_init:].reshape(t, 2 * m)[:, ::2] = np.arange(m0, m0 + t)[:, None]
-    degree = array("q", [m0 - 1]) * m0 + array("q", [m]) * t
     later = [array("q", [w for w in range(m0) if w != v]) for v in range(m0)] + [None] * t
     own_slot = 2 * e_init + 1 - 2 * m * m0  # + 2*(m*v + q): grown v's target q
     pos = 2 * e_init + 1  # the next target slot
@@ -196,22 +200,25 @@ def _grow_holme_kim(m0, m, t, uniforms):
         for new, slot, u1, more in zip(count(m0 + lo), slots, rows[:, 1].tolist(),
                                         rows[:, 2:].tolist()):
             first = endpoints[slot]
-            cnt = degree[first]
-            degree[first] = cnt + 1
-            endpoints[pos] = first
-            pos += 2
+            hist = later[first]  # new is appended below; draws read positions < cnt only
             own = m if first >= m0 else 0
-            hist = later[first]  # new is appended below, after every position drawn
+            cnt = own if hist is None else own + len(hist)  # first's degree
             r = int(u1 * cnt)
             if r >= cnt:
                 r = cnt - 1
             q = cnt - 1 - r
-            targets = [endpoints[own_slot + 2 * (m * first + q)] if q < own
-                       else hist[q - own]]
+            v = endpoints[own_slot + 2 * (m * first + q)] if q < own else hist[q - own]
+            endpoints[pos] = first
+            endpoints[pos + 2] = v
+            pos += 4
             if hist is None:
                 later[first] = array("q", (new,))
             else:
                 hist.append(new)
+            if later[v] is None:
+                later[v] = array("q", (new,))
+            else:
+                later[v].append(new)
             if more:
                 moved = {r: 0}  # position -> the position whose neighbour it now holds
                 for j, u in enumerate(more, 1):
@@ -221,17 +228,15 @@ def _grow_holme_kim(m0, m, t, uniforms):
                     p = moved.get(r, r)
                     moved[r] = moved.get(j, j)
                     q = cnt - 1 - p
-                    targets.append(endpoints[own_slot + 2 * (m * first + q)] if q < own
-                                   else hist[q - own])
-            for v in targets:
-                endpoints[pos] = v
-                pos += 2
-                degree[v] += 1
-                if later[v] is None:
-                    later[v] = array("q", (new,))
-                else:
-                    later[v].append(new)
-    return ends.reshape(-1, 2), np.frombuffer(degree, np.int64)
+                    v = endpoints[own_slot + 2 * (m * first + q)] if q < own else hist[q - own]
+                    endpoints[pos] = v
+                    pos += 2
+                    if later[v] is None:
+                        later[v] = array("q", (new,))
+                    else:
+                        later[v].append(new)
+    degree = np.bincount(ends, minlength=m0 + t).astype(np.int64, copy=False)
+    return ends.reshape(-1, 2), degree
 
 
 def _grow_sequential(m0, m, t, uniforms):

@@ -29,13 +29,14 @@ from .output import (
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_VERIFICATION = 3
+OUT_FILE = "output file, written as CSV or JSON per --format"
 
 
-def _add_shared(p):
+def _add_shared(p, out_help):
     p.add_argument("--m0", type=int, default=3, help="initial clique size (>= 2)")
     p.add_argument("--m", type=int, default=1, help="edges per new vertex (1 <= m <= m0)")
     p.add_argument("--t", type=int, default=1000, help="number of growth steps")
-    p.add_argument("--out", required=True, help="output path base")
+    p.add_argument("--out", required=True, help=out_help)
 
 
 def _add_growth(p):
@@ -53,22 +54,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="grow one network; write edge list + histogram")
-    _add_shared(g)
+    _add_shared(g, "output path base: writes OUT.edges and OUT.hist.csv")
     _add_growth(g)
 
     e = sub.add_parser("exact", help="exact network degree law at time t")
-    _add_shared(e)
+    _add_shared(e, OUT_FILE)
     e.add_argument("--format", choices=("csv", "json"), default="csv")
     e.add_argument("--k-max", type=int, default=None, help="largest reported degree")
 
     s = sub.add_parser("steady", help="steady-state distribution table")
     s.add_argument("--m", type=int, default=1)
     s.add_argument("--k-max", type=int, default=100)
-    s.add_argument("--out", required=True)
+    s.add_argument("--out", required=True, help=OUT_FILE)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
 
     c = sub.add_parser("compare", help="ensemble vs exact law vs limit, with fit report")
-    _add_shared(c)
+    _add_shared(c, "output path base: writes OUT.stats.csv and OUT.report.json")
     _add_growth(c)
     c.add_argument("--replicates", type=int, default=50)
     c.add_argument("--k-max", type=int, default=None)

@@ -328,3 +328,18 @@ def test_commands_import_no_scipy(tmp_path, src_env, argv):
     out = subprocess.run([sys.executable, "-c", RUN_AND_LIST_SCIPY, *argv],
                          capture_output=True, text=True, check=True, env=src_env)
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("command,out_help", [
+    ("generate", "output path base: writes OUT.edges and OUT.hist.csv"),
+    ("compare", "output path base: writes OUT.stats.csv and OUT.report.json"),
+    ("exact", "output file, written as CSV or JSON per --format"),
+    ("steady", "output file, written as CSV or JSON per --format"),
+])
+def test_out_help_says_what_each_subcommand_writes(command, out_help, capsys):
+    # generate and compare append suffixes to --out; exact and steady write to it
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    assert f"--out OUT {out_help}" in text

@@ -80,7 +80,8 @@ def test_fan_out_decision():
     assert fan_out(0, r, 10.0) == 0
     assert fan_out(4, 9, 10.0) == 0                # 8 replicates fill one chunk
     # replicate times measured on 2 vCPUs: m=1, t=5000 takes 0.17-0.5 ms,
-    # m=2, t=2000 takes 4.0-4.4 ms; only the second pays for a pool
+    # m=2, t=2000 takes about 3.5 ms (medians of 10 fresh processes); only
+    # the second pays for a pool
     assert fan_out(2, r, 0.0005) == 0
     assert fan_out(2, r, 0.0034) == 2
 

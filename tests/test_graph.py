@@ -89,6 +89,19 @@ def test_check_raises_on_self_loop():
         s.check()
 
 
+def test_check_raises_on_a_grown_edge_repeated_reversed():
+    # grown edges are stored (new, target), the larger index first, unlike
+    # the clique's pairs
+    s = bg.generate(bg.RunConfig(m0=3, m=2, t=2000, seed=5))
+    s.check()
+    new, target = s.edges[-1]
+    assert new > target
+    s.edges = np.vstack([s.edges, [(target, new)]])
+    s.degree[[new, target]] += 1  # the degrees still count the endpoints
+    with pytest.raises(bg.VerificationError, match="parallel edge"):
+        s.check()
+
+
 def test_check_survives_optimized_mode(src_env):
     # python -O strips assert statements; the invariant checks must remain
     code = (

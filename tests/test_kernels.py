@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bagrowth import _kernels
+from bagrowth.graph import GraphState
 import roll_reference
 
 
@@ -175,6 +178,20 @@ def test_grow_matches_reference_at_block_edges(m0, m, t):
     assert e1.dtype == e2.dtype and d1.dtype == d2.dtype
     assert np.array_equal(e1, e2)
     assert np.array_equal(d1, d2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m0_m=st.integers(2, 6).flatmap(lambda m0: st.tuples(st.just(m0), st.integers(2, m0))),
+       t=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_grow_matches_reference_for_any_m_above_1(m0_m, t, seed):
+    m0, m = m0_m
+    uniforms = np.random.default_rng(seed).random((t, m))
+    e1, d1 = _kernels.grow(m0, m, t, uniforms, False)
+    e2, d2 = _grow_reference(m0, m, t, uniforms, False)
+    assert e1.dtype == e2.dtype and d1.dtype == d2.dtype
+    assert np.array_equal(e1, e2)
+    assert np.array_equal(d1, d2)
+    GraphState(num_initial=m0, step_count=t, degree=d1, edges=e1).check()
 
 
 @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
