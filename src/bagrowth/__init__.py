@@ -22,7 +22,6 @@ from .errors import ConfigurationError, EnumerationBoundError, VerificationError
 from .graph import (
     GraphState,
     RunConfig,
-    attachment_probability_exact,
     degree_histogram,
     generate,
     new_complete,
@@ -44,8 +43,7 @@ __all__ = [
     "EnsembleStats", "FitReport", "compare_to_exact", "compare_to_limit",
     "run_replicates",
     "ConfigurationError", "EnumerationBoundError", "VerificationError",
-    "GraphState", "RunConfig", "attachment_probability_exact",
-    "degree_histogram", "generate", "new_complete",
+    "GraphState", "RunConfig", "degree_histogram", "generate", "new_complete",
     "CesaroDiagnostic", "cesaro_ratios", "limit_recursion", "steady_state",
     "steady_state_exact", "steady_state_partial_sum", "tail_exponent",
 ]

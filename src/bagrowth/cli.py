@@ -12,7 +12,7 @@ from . import __version__
 from .chain import ChainParams, default_k_max, network_distribution
 from .ensemble import check_threads, compare_to_exact, compare_to_limit, fit_cap, run_replicates
 from .errors import ConfigurationError, VerificationError
-from .graph import HOLME_KIM, SCHEMES, RunConfig, generate, verify_proposition
+from .graph import DEFAULT_ENUM_BOUND, HOLME_KIM, SCHEMES, RunConfig, generate, verify_proposition
 from .limits import steady_state
 from .output import (
     header,
@@ -78,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "too cheap to pay for the pool")
 
     v = sub.add_parser("verify-proposition",
-                       help="exact rational check of one-step receive probabilities")
-    v.add_argument("--enum-bound", type=int, default=12,
+                       help="exact rational check of the growth kernel's "
+                            "one-step receive probabilities")
+    v.add_argument("--enum-bound", type=int, default=DEFAULT_ENUM_BOUND,
                    help="max vertex count admitted to exhaustive enumeration")
     return ap
 
@@ -153,14 +154,15 @@ def cmd_verify_proposition(args) -> int:
     failed = [r for r in results if not r["ok"]]
     for r in results:
         status = "pass" if r["ok"] else "FAIL"
-        line = f"{status} state={r['state']} m={r['m']}"
+        line = f"{status} state={r['state']} m={r['m']} scheme={r['scheme']}"
         if r["detail"]:
             line += f" ({r['detail']})"
         print(line)
     if failed:
         first = failed[0]
         raise VerificationError(
-            f"state {first['state']} m={first['m']}: {first['detail']}")
+            f"state {first['state']} m={first['m']} scheme={first['scheme']}: "
+            f"{first['detail']}")
     return 0
 
 

@@ -14,8 +14,6 @@ Vertex labels follow the convention -m0..-1 for the initial clique and
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -138,87 +136,88 @@ def degree_histogram(state: GraphState) -> dict:
     return {int(k): int(c) for k, c in enumerate(counts) if c > 0}
 
 
-def attachment_probability_exact(state: GraphState, m: int,
-                                 enum_bound: int = DEFAULT_ENUM_BOUND) -> list:
-    """Exact per-vertex probability of receiving an edge in one holme-kim step.
+def one_step_law(config: RunConfig, enum_bound: int = DEFAULT_ENUM_BOUND) -> list:
+    """Exact law of step t+1's targets, enumerated over the growth kernel's own map.
 
-    Enumerates every (first endpoint, (m-1)-neighbor-subset) outcome with
-    rational weights k_l/sum_k * 1/C(k_l, m-1) and sums the probability
-    that each vertex is touched. Equals m*k_i/sum_k for every vertex.
-
-    Returns a list of Fractions indexed like state.degree.
+    Grows config.t steps from config.seed as ``generate`` does, then
+    feeds every cell midpoint of the next step's m uniforms through
+    ``grow`` with rational weights. Each uniform picks one of `cells`
+    equal cells: a slot int(u * cells) for holme-kim, the integer
+    cumulative-weight interval holding u * cells for sequential, so
+    weight 1/cells per draw gives the step's exact law. enum_bound is
+    the largest vertex count admitted. Returns Fractions recv, indexed
+    like GraphState.degree: recv[v] is the probability that v receives
+    an edge. Raises VerificationError if one step picks a vertex twice.
     """
-    n = state.num_vertices
-    if n > enum_bound:
+    m0, m, t = config.m0, config.m, config.t
+    if m0 + t > enum_bound:
         raise EnumerationBoundError(
-            f"state has {n} vertices, enumeration bound is {enum_bound}")
-    if m - 1 > int(state.degree.min()):
-        raise ConfigurationError("scheme requires every neighborhood to offer m-1 candidates")
-    neighbours = [[] for _ in range(n)]
-    for u, v in state.edges.tolist():
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    total = state.total_degree
-    recv = [Fraction(0) for _ in range(n)]
-    for first in range(n):
-        k_l = int(state.degree[first])
-        if k_l == 0:
-            continue
-        w_first = Fraction(k_l, total)
-        n_subsets = comb(k_l, m - 1)
-        for subset in combinations(neighbours[first], m - 1):
-            w = w_first / n_subsets
-            recv[first] += w
-            for v in subset:
-                recv[v] += w
+            f"state has {m0 + t} vertices, enumeration bound is {enum_bound}")
+    sequential = config.scheme == SEQUENTIAL
+    # generate's t rows of uniforms, then a row for the enumerated step
+    uniforms = default_rng(SeedSequence(config.seed)).random((t + 1, m))
+    degree = grow(m0, m, t, uniforms[:t], sequential)[1].tolist()
+    tdeg = sum(degree)
+    recv = [Fraction(0)] * (m0 + t)
+
+    def targets(row):
+        # draws past len(row) do not change the picks before them
+        uniforms[t] = row + [0.5] * (m - len(row))
+        return grow(m0, m, t + 1, uniforms, sequential)[0][-m:, 1].tolist()
+
+    def walk(row, weight):
+        if len(row) == m:
+            picks = targets(row)
+            if len(set(picks)) != m:
+                raise VerificationError(
+                    f"state {_state_name(config)} m={m} scheme={config.scheme}: "
+                    f"uniforms {row} pick vertex indices {picks}, one of them twice")
+            for v in picks:
+                recv[v] += weight
+            return
+        if not row:
+            cells = tdeg
+        elif sequential:  # the frozen degrees not yet picked
+            cells = tdeg - sum(degree[v] for v in targets(row)[:len(row)])
+        else:  # the first endpoint's neighbours not yet picked
+            cells = degree[targets(row)[0]] - (len(row) - 1)
+        for c in range(cells):
+            walk(row + [(c + 0.5) / cells], weight / cells)
+
+    walk([], Fraction(1))
     return recv
 
 
-def star_graph(leaves: int) -> GraphState:
-    """A star: one center (index 0) joined to `leaves` degree-1 vertices."""
-    n = leaves + 1
-    degree = np.array([leaves] + [1] * leaves, dtype=np.int64)
-    edges = np.array([(0, j) for j in range(1, n)], dtype=np.int64)
-    return GraphState(num_initial=n, step_count=0, degree=degree, edges=edges)
+# (m0, t, seed) of each state verify_proposition enumerates
+PROPOSITION_STATES = ((3, 0, 0), (4, 0, 0), (5, 0, 0), (4, 2, 12345))
 
 
-def proposition_states() -> list:
-    """Small states used to check the exact receive-probability identity."""
-    return [
-        ("K_3", new_complete(3)),
-        ("K_4", new_complete(4)),
-        ("K_5", new_complete(5)),
-        ("S_4", star_graph(4)),
-        ("K_4+2steps", generate(RunConfig(m0=4, m=2, t=2, seed=12345))),
-    ]
+def _state_name(config: RunConfig) -> str:
+    return f"K_{config.m0}" + (f"+{config.t}steps" if config.t else "")
 
 
 def verify_proposition(enum_bound: int = DEFAULT_ENUM_BOUND) -> list:
-    """Check, state by state, that one-step receive probabilities are m*k_i/sum_k.
+    """Check that the growth kernel gives each vertex probability m*k_i/sum_k.
 
-    For each state and each feasible m (every neighborhood must offer at
-    least m-1 candidates), enumerates the one-step law exactly and
-    compares against the proportional form as rationals. Returns a list
-    of dicts with keys state, m, ok, detail.
+    On each of PROPOSITION_STATES, grown at the m checked, enumerates
+    ``one_step_law`` for holme-kim at every m <= m0 and for sequential
+    at m=1, and compares it with the proportional form as rationals.
+    Returns a list of dicts with keys state, scheme, m, ok, detail.
     """
     results = []
-    for name, state in proposition_states():
-        m_hi = int(state.degree.min()) + 1
-        for m in range(1, m_hi + 1):
-            recv = attachment_probability_exact(state, m, enum_bound=enum_bound)
+    for m0, t, seed in PROPOSITION_STATES:
+        runs = [(HOLME_KIM, m) for m in range(1, m0 + 1)] + [(SEQUENTIAL, 1)]
+        for scheme, m in runs:
+            config = RunConfig(m0=m0, m=m, t=t, scheme=scheme, seed=seed)
+            recv = one_step_law(config, enum_bound=enum_bound)
+            state = generate(config)
             total = state.total_degree
-            ok = True
             detail = ""
-            for idx, p in enumerate(recv):
-                want = Fraction(m * int(state.degree[idx]), total)
+            for label, p, k in zip(state.labels().tolist(), recv, state.degree.tolist()):
+                want = Fraction(m * k, total)
                 if p != want:
-                    ok = False
-                    detail = (f"vertex {state.labels()[idx]}: enumerated {p}, "
-                              f"proportional form {want}")
+                    detail = f"vertex {label}: enumerated {p}, proportional form {want}"
                     break
-            if ok and sum(recv, Fraction(0)) != m:
-                ok = False
-                detail = f"probabilities sum to {sum(recv, Fraction(0))}, not {m}"
-            results.append({"state": name, "m": m, "ok": ok, "detail": detail})
+            results.append({"state": _state_name(config), "scheme": scheme, "m": m,
+                            "ok": not detail, "detail": detail})
     return results
-

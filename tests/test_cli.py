@@ -260,8 +260,34 @@ def test_verify_proposition(capsys):
     assert run(["verify-proposition"]) == 0
     out = capsys.readouterr().out
     assert "pass state=K_3 m=2" in out
-    assert "pass state=S_4 m=2" in out
+    assert "pass state=K_4+2steps m=4 scheme=holme-kim" in out
+    assert "pass state=K_4+2steps m=1 scheme=sequential" in out
     assert "FAIL" not in out
+
+
+REPEAT_A_TARGET = """
+import sys
+from bagrowth import graph
+from bagrowth.cli import main
+grow = graph.grow
+
+def repeating(m0, m, t, uniforms, sequential):
+    edges, degree = grow(m0, m, t, uniforms, sequential)
+    edges[len(edges) - m:, 1] = edges[-1, 1]
+    return edges, degree
+
+graph.grow = repeating
+sys.exit(main(["verify-proposition"]))
+"""
+
+
+def test_verify_proposition_exits_3_when_a_step_picks_a_vertex_twice(src_env):
+    # under -O, which strips asserts, the check must still fail the command
+    out = subprocess.run([sys.executable, "-O", "-c", REPEAT_A_TARGET],
+                         capture_output=True, text=True, env=src_env)
+    assert out.returncode == 3
+    assert out.stderr.startswith("verification failed: state K_3 m=2 scheme=holme-kim: ")
+    assert "Traceback" not in out.stderr
 
 
 def test_verify_proposition_bound_validation(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import bagrowth as bg
 from bagrowth import output
 from bagrowth._kernels import grow
-from bagrowth.graph import star_graph, proposition_states
+from bagrowth.graph import one_step_law
 
 
 def test_new_complete_k3():
@@ -206,62 +206,75 @@ def test_degree_histogram_handshake(scheme):
 
 
 def test_enumeration_k3_m2():
-    recv = bg.attachment_probability_exact(bg.new_complete(3), 2)
+    recv = one_step_law(bg.RunConfig(m0=3, m=2, t=0))
     assert recv == [Fraction(2, 3)] * 3
 
 
 def test_enumeration_m1_is_plain_preferential():
-    s = bg.generate(bg.RunConfig(m0=4, m=2, t=4, seed=2))
-    recv = bg.attachment_probability_exact(s, 1)
-    total = s.total_degree
-    assert recv == [Fraction(int(k), total) for k in s.degree]
-
-
-def test_enumeration_star_center_certain():
-    recv = bg.attachment_probability_exact(star_graph(4), 2)
-    assert recv[0] == 1
-    assert recv[1:] == [Fraction(1, 4)] * 4
-    assert sum(recv) == 2
+    for scheme in bg.graph.SCHEMES:
+        config = bg.RunConfig(m0=4, m=1, t=4, seed=2, scheme=scheme)
+        degree = bg.generate(config).degree.tolist()
+        assert one_step_law(config) == [Fraction(k, sum(degree)) for k in degree]
 
 
 def test_enumeration_bound():
-    with pytest.raises(bg.EnumerationBoundError):
-        bg.attachment_probability_exact(bg.new_complete(13), 2)
+    # the bound counts the grown vertices too
+    for m0, t in [(13, 0), (4, 9)]:
+        with pytest.raises(bg.EnumerationBoundError, match="13 vertices"):
+            one_step_law(bg.RunConfig(m0=m0, m=2, t=t))
 
 
+# the enumeration grows with the first endpoint's degree to the power m - 1:
+# at (m0=5, 5 steps) it takes 0.15-0.17 s at m=3 but 11-12 s at m=5 (2-vCPU
+# Xeon), so m <= 3 here; verify_proposition's K_4, K_5 and K_4+2steps
+# cover m = 4 and 5
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), m0=st.integers(3, 5), steps=st.integers(0, 5))
 def test_proposition_on_random_states(seed, m0, steps):
     # one-step receive probability is exactly m * k_i / total, any reachable state
-    m = int(np.random.default_rng(seed).integers(1, m0 + 1))
-    s = bg.generate(bg.RunConfig(m0=m0, m=m, t=steps, seed=seed))
-    recv = bg.attachment_probability_exact(s, m)
-    total = s.total_degree
-    assert recv == [Fraction(m * int(k), total) for k in s.degree]
-    assert sum(recv) == m
+    m = int(np.random.default_rng(seed).integers(1, min(m0, 3) + 1))
+    config = bg.RunConfig(m0=m0, m=m, t=steps, seed=seed)
+    degree = bg.generate(config).degree.tolist()
+    assert one_step_law(config) == [Fraction(m * k, sum(degree)) for k in degree]
 
 
 def test_verify_proposition_suite():
     results = bg.graph.verify_proposition()
     assert results
     assert all(r["ok"] for r in results)
-    names = {r["state"] for r in results}
-    assert names == {"K_3", "K_4", "K_5", "S_4", "K_4+2steps"}
+    runs = {(r["state"], r["scheme"], r["m"]) for r in results}
+    assert len(runs) == len(results) == 20
+    for state, m0 in [("K_3", 3), ("K_4", 4), ("K_5", 5), ("K_4+2steps", 4)]:
+        assert {(state, "holme-kim", m) for m in range(1, m0 + 1)} <= runs
+        assert (state, "sequential", 1) in runs
 
 
 def test_verify_proposition_names_the_failing_vertex_by_label(monkeypatch):
-    exact = bg.graph.attachment_probability_exact
+    exact = bg.graph.one_step_law
 
-    def last_vertex_off(state, m, enum_bound):
-        recv = exact(state, m, enum_bound=enum_bound)
+    def last_vertex_off(config, enum_bound):
+        recv = exact(config, enum_bound=enum_bound)
         recv[-1] += Fraction(1, 1000)
         return recv
 
-    monkeypatch.setattr(bg.graph, "attachment_probability_exact", last_vertex_off)
-    details = {(r["state"], r["m"]): r["detail"] for r in bg.graph.verify_proposition()}
+    monkeypatch.setattr(bg.graph, "one_step_law", last_vertex_off)
+    details = {(r["state"], r["scheme"], r["m"]): r["detail"]
+               for r in bg.graph.verify_proposition()}
     # K_3's last index is initial vertex -1; K_4+2steps' is the vertex added at step 2
-    assert details["K_3", 1] == "vertex -1: enumerated 1003/3000, proportional form 1/3"
-    assert details["K_4+2steps", 1].startswith("vertex 2: enumerated ")
+    assert details["K_3", "holme-kim", 1] == ("vertex -1: enumerated 1003/3000, "
+                                               "proportional form 1/3")
+    assert details["K_4+2steps", "holme-kim", 1].startswith("vertex 2: enumerated ")
+
+
+def test_one_step_law_rejects_a_step_that_picks_a_vertex_twice(monkeypatch):
+    def repeating(m0, m, t, uniforms, sequential):
+        edges, degree = grow(m0, m, t, uniforms, sequential)
+        edges[len(edges) - m:, 1] = edges[-1, 1]
+        return edges, degree
+
+    monkeypatch.setattr(bg.graph, "grow", repeating)
+    with pytest.raises(bg.VerificationError, match=r"^state K_4\+2steps m=2 scheme=holme-kim: "):
+        one_step_law(bg.RunConfig(m0=4, m=2, t=2, seed=12345))
 
 
 def test_schemes_agree_in_law_at_m1():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bagrowth import _kernels
-from bagrowth.graph import GraphState
+from bagrowth.graph import HOLME_KIM, SEQUENTIAL, GraphState, RunConfig, generate, one_step_law
 import roll_reference
 
 
@@ -208,57 +208,23 @@ def test_grow_clamps_match_reference(m0, m, sequential, u):
     assert np.array_equal(d1, d2)
 
 
-def _one_step_law(m0, m, prefix, sequential):
-    """Exact law of the next step's targets, enumerated over grow's own map.
-
-    Each uniform picks one of `cells` equal cells: a slot int(u * cells)
-    for holme-kim, the integer cumulative-weight interval holding
-    u * cells for sequential. Feeding every cell midpoint with weight
-    1/cells gives the exact law of the step. Returns (recv, degree):
-    recv[v] is the probability that vertex v receives an edge.
-    """
-    head = np.random.default_rng(prefix).random((prefix, m))
-    _, degree = _kernels.grow(m0, m, prefix, head, sequential)
-    degree = degree.tolist()
-    tdeg = sum(degree)
-    recv = [Fraction(0)] * len(degree)
-
-    def targets(row):
-        # draws past len(row) do not change the picks before them
-        u = np.vstack([head, [row + [0.5] * (m - len(row))]])
-        return _kernels.grow(m0, m, prefix + 1, u, sequential)[0][-m:, 1].tolist()
-
-    def walk(row, weight):
-        if len(row) == m:
-            picks = targets(row)
-            assert len(set(picks)) == m
-            for v in picks:
-                recv[v] += weight
-            return
-        if not row:
-            cells = tdeg
-        elif sequential:  # the frozen degrees not yet picked
-            cells = tdeg - sum(degree[v] for v in targets(row)[:len(row)])
-        else:  # the first endpoint's neighbours not yet picked
-            cells = degree[targets(row)[0]] - (len(row) - 1)
-        for c in range(cells):
-            walk(row + [(c + 0.5) / cells], weight / cells)
-
-    walk([], Fraction(1))
-    return recv, degree
+def _law_and_degrees(m0, m, prefix, scheme):
+    """graph.one_step_law after `prefix` steps seeded by `prefix`, and the degrees."""
+    config = RunConfig(m0=m0, m=m, t=prefix, scheme=scheme, seed=prefix)
+    return one_step_law(config), generate(config).degree.tolist()
 
 
 @pytest.mark.parametrize("prefix", [0, 1, 3])
 @pytest.mark.parametrize("m0,m", [(m0, m) for m0 in (3, 4) for m in range(1, m0 + 1)])
 def test_grow_one_step_law_is_proportional(m0, m, prefix):
-    recv, degree = _one_step_law(m0, m, prefix, False)
+    recv, degree = _law_and_degrees(m0, m, prefix, HOLME_KIM)
     assert recv == [Fraction(m * k, sum(degree)) for k in degree]
 
 
 @pytest.mark.parametrize("prefix", [0, 1, 3])
 @pytest.mark.parametrize("m0", [3, 4])
 def test_sequential_one_step_law_at_m1_is_proportional(m0, prefix):
-    recv, degree = _one_step_law(m0, 1, prefix, True)
+    recv, degree = _law_and_degrees(m0, 1, prefix, SEQUENTIAL)
     assert recv == [Fraction(k, sum(degree)) for k in degree]
 
 
@@ -269,9 +235,9 @@ def test_sequential_one_step_law_at_m1_is_proportional(m0, prefix):
 def test_sequential_one_step_law_deviates_at_m2_and_above(m0, m, prefix, vertex, k, gap):
     # without replacement over frozen degrees, a high-degree vertex
     # receives less than m*k/sum(k); on K_{m0} alone symmetry hides it
-    recv, degree = _one_step_law(m0, m, 0, True)
+    recv, degree = _law_and_degrees(m0, m, 0, SEQUENTIAL)
     assert recv == [Fraction(m, m0)] * m0
-    recv, degree = _one_step_law(m0, m, prefix, True)
+    recv, degree = _law_and_degrees(m0, m, prefix, SEQUENTIAL)
     assert degree[vertex] == k
     assert recv[vertex] - Fraction(m * k, sum(degree)) == gap
 
