@@ -19,7 +19,9 @@ import numpy as np
 
 NUMBA_ENABLED = False  # no JIT path exists; perfbench/job.py still records this flag
 DBL_MIN = np.finfo(np.float64).tiny  # smallest normal double, 2.2e-308
-ROLL_BLOCK = 8  # steps that share one transition table
+# Steps per transition table: longer blocks build fewer tables, but the buffer
+# holds 2*ROLL_BLOCK doubles per cell (at 32, passage_curve passes its 1 MB bound)
+ROLL_BLOCK = 16
 
 
 def _flush_top(lines, top):
@@ -43,14 +45,15 @@ def roll(cells, k0, first, last, d, top):
     cell absorbs (up 0, stay 1), so it gains the flux out of the cell
     below and loses none. Then top is lowered past cells below DBL_MIN
     (2.2e-308) in every law, which are set to exact 0, so no step runs
-    on subnormals. Blocks of ROLL_BLOCK steps share one table of up =
-    k/(2s + d), stay = 1 - up (each k repeated r times) over cells
+    on subnormals. Blocks of ROLL_BLOCK (16) steps share one table of up
+    = k/(2s + d), stay = 1 - up (each k repeated r times) over cells
     0..min(top + steps, n - 1); a step is three in-place ufuncs on 1-D
     contiguous views of the flat cells, each cell getting x[k]*stay[k] +
     x[k-1]*up[k-1]. Cells above top + 1 hold +0 and keep it, so the
-    window changes no bit. The flush reads cell top + 1; once top
-    reaches the absorbing cell it is skipped, since it could change
-    nothing: that cell only grows.
+    window changes no bit; its views are built only when its width
+    changes, never once it reaches the absorbing cell. The flush reads
+    cell top + 1; once top reaches the absorbing cell it is skipped,
+    since it could change nothing: that cell only grows.
     """
     if not (isinstance(cells, np.ndarray) and cells.ndim == 2
             and cells.dtype == np.float64 and cells.flags.c_contiguous):
@@ -62,15 +65,19 @@ def roll(cells, k0, first, last, d, top):
     kr[edge * r:] = 0.0  # the absorbing cell: up 0, stay 1
     buf = np.empty(2 * ROLL_BLOCK * len(kr))  # every block's tables; no page faults per block
     mul, add = np.multiply, np.add  # a positional out skips keyword parsing
+    n = 0
     for lo in range(first, last, ROLL_BLOCK):
         steps = min(ROLL_BLOCK, last - lo)
-        n = (min(top + steps, edge) + 1) * r
-        up, stay = buf[:2 * steps * n].reshape(2, steps, n)
-        np.divide(kr[:n], (2.0 * np.arange(lo, lo + steps) + d)[:, None], out=up)
-        np.subtract(1.0, up, out=stay)
-        seg, below, above = flat[:n], flat[:n - r], flat[r:n]
-        flux = np.empty(n - r)
-        for up_b, stay_b in zip(up[:, :n - r], stay):
+        width = (min(top + steps, edge) + 1) * r
+        if width != n:  # never again once the window reaches the absorbing cell
+            n = width
+            seg, below, above = flat[:n], flat[:n - r], flat[r:n]
+            flux = np.empty(n - r)
+            up, stay = buf[:2 * ROLL_BLOCK * n].reshape(2, ROLL_BLOCK, n)
+            pairs = list(zip(up[:, :n - r], stay))
+        np.divide(kr[:n], (2.0 * np.arange(lo, lo + steps) + d)[:, None], out=up[:steps])
+        np.subtract(1.0, up[:steps], out=stay[:steps])
+        for up_b, stay_b in pairs[:steps]:
             mul(below, up_b, flux)
             mul(seg, stay_b, seg)
             add(above, flux, above)
@@ -111,14 +118,16 @@ def mixture_roll(m, m0, d, t, *, cap=None):
     start = min(m0 - 1, cap)
     sums[start, 1] = float(m0)
     moment = float((m0 - 1) * m0) if start == cap else 0.0
-    feed = cap - 1
-    held = float(sums[feed, 0] + sums[feed, 1])  # cell cap - 1 before the step
+    feed, flat = cap - 1, sums.reshape(-1)
+    a, b = sums[feed].tolist()
+    held = a + b  # cell cap - 1 before the step
     for s, top in enumerate(roll(sums, 0, 0, t, d, max(m, start))):
-        sums[m, 0] += 1.0  # the step's new vertex; top >= m without it, so the flush agrees
+        flat[2 * m] += 1.0  # the step's new vertex; top >= m without it, so the flush agrees
         if held or moment:
             den = 2.0 * s + d
             moment += moment / den + cap * (held * feed / den)
-        held = float(sums[feed, 0] + sums[feed, 1]) if top >= feed else 0.0
+        a, b = sums[feed].tolist() if top >= feed else (0.0, 0.0)
+        held = a + b
     s_new, s_init = np.ascontiguousarray(sums.T)
     return s_new, s_init, moment
 

@@ -113,7 +113,10 @@ class DegreeLaw:
             return np.zeros(self.t_max - self.start_time + 1)
         if "table" in vars(self):  # cached_property's slot
             return self.table[:, k].copy()
-        return np.fromiter((row[j] for row, _ in self._rows(j + 2)), np.float64)
+        out = np.empty(self.t_max - self.start_time + 1)
+        for i, (row, _) in enumerate(self._rows(j + 2)):
+            out[i] = row[j]
+        return out
 
     @cached_property
     def table(self) -> np.ndarray:

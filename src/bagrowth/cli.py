@@ -2,7 +2,8 @@
 
 Subcommands: generate, exact, steady, compare, verify-proposition.
 Exit codes: 0 success, 1 validation failure, 2 I/O failure,
-3 verification failure.
+3 verification failure, 4 internal error (out of memory, or any other
+exception, whose traceback goes to stderr).
 """
 
 import argparse
@@ -29,6 +30,7 @@ from .output import (
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_VERIFICATION = 3
+EXIT_INTERNAL = 4
 OUT_FILE = "output file, written as CSV or JSON per --format"
 
 
@@ -188,6 +190,12 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except MemoryError as exc:  # NumPy's _ArrayMemoryError names the allocation
+        print(f"error: out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception:  # a defect, not a user error: print its traceback as Python would
+        sys.excepthook(*sys.exc_info())
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

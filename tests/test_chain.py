@@ -207,9 +207,10 @@ def test_per_vertex_rolls_check_mass_and_mean(monkeypatch, drop, match):
 
 
 B = _kernels.ROLL_BLOCK
+H = B // 2  # mid-block
 
 
-@pytest.mark.parametrize("span", [0, 1, B - 1, B, B + 1, 3000])
+@pytest.mark.parametrize("span", [0, 1, H - 1, H, H + 1, B - 1, B, B + 1, 3000])
 @pytest.mark.parametrize("m,m0", [(1, 2), (1, 3), (2, 4), (3, 5), (3, 3), (2, 2)])
 def test_evolve_vertex_matches_per_step_reference(m, m0, span, flushes):
     # the reference's band expanded to dense rows, every cell, across block

@@ -187,6 +187,30 @@ def test_compare_fails_before_any_growth(tmp_path, monkeypatch, capsys, bad):
     assert not list(tmp_path.iterdir())
 
 
+def test_out_of_memory_exits_4_with_one_line(tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 13.4 GiB for an array with shape (60001, 30001)")
+
+    monkeypatch.setattr("bagrowth.cli.network_distribution", no_memory)
+    assert run(["exact", "--t", "10", "--out", str(tmp_path / "x.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 13.4 GiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_unexpected_error_exits_4_with_its_traceback(tmp_path, monkeypatch, capsys):
+    # a defect must not exit 1, the code of a validation error
+    def broken(config):
+        raise IndexError("array index out of range")
+
+    monkeypatch.setattr("bagrowth.cli.generate", broken)
+    assert run(["generate", "--t", "10", "--seed", "1", "--out", str(tmp_path / "g")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "IndexError: array index out of range" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_compare_rejects_zero_replicates(tmp_path, capsys):
     code = run(["compare", "--m0", "3", "--m", "1", "--t", "10", "--seed", "1",
                 "--replicates", "0", "--out", str(tmp_path / "cmp")])

@@ -290,9 +290,10 @@ def test_mixture_roll_bits_without_underflow(m, m0, t):
 
 ROLL_CASES = [(1, 2), (1, 3), (2, 4), (3, 5), (3, 3), (2, 2)]
 B = _kernels.ROLL_BLOCK
+H = B // 2  # mid-block
 
 
-@pytest.mark.parametrize("t", [0, 1, B - 1, B, B + 1, 3000, 6000])
+@pytest.mark.parametrize("t", [0, 1, H - 1, H, H + 1, B - 1, B, B + 1, 3000, 6000])
 @pytest.mark.parametrize("m,m0", ROLL_CASES)
 def test_mixture_roll_matches_per_step_reference(m, m0, t, flushes):
     # every cell, across block edges; past t=3000 subnormal mass is flushed
@@ -304,7 +305,7 @@ def test_mixture_roll_matches_per_step_reference(m, m0, t, flushes):
         assert g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("t", [0, 1, B - 1, B, B + 1, 40, 3000])
+@pytest.mark.parametrize("t", [0, 1, H - 1, H, H + 1, B - 1, B, B + 1, 40, 3000])
 @pytest.mark.parametrize("m,m0", ROLL_CASES)
 def test_default_mixture_roll_is_capped_at_the_top_degree(m, m0, t):
     # every cell is the uncapped reference's; the moment is that of cell kcap
@@ -322,7 +323,7 @@ def _caps(m, m0, t):
     return sorted({m + 1, min(30, kcap - 1), kcap - 1} & set(range(m + 1, kcap)))
 
 
-@pytest.mark.parametrize("t", [1, B - 1, B + 1, 3000])
+@pytest.mark.parametrize("t", [1, H - 1, H + 1, B - 1, B + 1, 3000])
 @pytest.mark.parametrize("m,m0", ROLL_CASES)
 def test_capped_mixture_roll_matches_per_step_reference(m, m0, t):
     # the absorbing cell included, on every cell and across block edges
@@ -351,6 +352,42 @@ def test_capped_mixture_roll_lumps_the_mass_above(m, m0, t):
             assert np.array_equal(g[:cap][big], w[:cap][big])
         assert s_new[cap] + s_init[cap] == pytest.approx(law[cap:].sum(), rel=1e-12)
         assert moment == pytest.approx((degrees * law)[cap:].sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("m,m0", ROLL_CASES)
+def test_block_size_changes_no_bit(monkeypatch, m, m0):
+    # a block size moves the partial last block and the blocks at which the
+    # window widens and stops widening (at once when capped at m + 1, after
+    # ~30 steps at cap 30, never when full); the per-step references and
+    # the carried moment must not see it
+    from bagrowth import chain
+
+    d = m0 * (m0 - 1) / m
+    params = chain.ChainParams(m=m, m0=m0)
+    rolls = [(t, cap, roll_reference.mixture_roll(m, m0, d, t, cap=cap))
+             for t in (200, 3000) for cap in [None] + _caps(m, m0, t)[:2]]
+    tables = []
+    for i in (-1, 1):
+        t_max = max(i, 0) + 200
+        values, offsets = roll_reference.evolve_band(i, t_max, params)
+        law = chain.evolve_vertex(i, t_max, params)
+        dense = np.zeros((len(offsets) - 1, law.k_max + 1))
+        for row, lo, hi in zip(dense, offsets[:-1], offsets[1:]):
+            row[law.start_degree:law.start_degree + hi - lo] = values[lo:hi]
+        tables.append((i, t_max, dense))
+    moments = {}
+    for block in (1, 3, 16, 64):
+        monkeypatch.setattr(_kernels, "ROLL_BLOCK", block)
+        for t, cap, want in rolls:
+            s_new, s_init, moment = _kernels.mixture_roll(m, m0, d, t, cap=cap)
+            assert [s_new.tobytes(), s_init.tobytes()] == [w.tobytes() for w in want]
+            assert moment == moments.setdefault((t, cap), moment)
+        for i, t_max, dense in tables:
+            law = chain.evolve_vertex(i, t_max, params)
+            for k in [*range(law.start_degree - 1, law.k_max, 23), law.k_max, law.k_max + 1]:
+                want = dense[:, k] if k <= law.k_max else np.zeros(len(dense))
+                assert law.column(k).tobytes() == want.tobytes()
+            assert law.table.tobytes() == dense.tobytes()
 
 
 @pytest.mark.parametrize("cap", [1, 2, 52, 53, 60])
