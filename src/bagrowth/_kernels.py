@@ -118,15 +118,16 @@ def mixture_roll(m, m0, d, t, *, cap=None):
     start = min(m0 - 1, cap)
     sums[start, 1] = float(m0)
     moment = float((m0 - 1) * m0) if start == cap else 0.0
-    feed, flat = cap - 1, sums.reshape(-1)
-    a, b = sums[feed].tolist()
+    feed, flat, new = cap - 1, sums.reshape(-1), 2 * m
+    fed = sums[feed]  # a view of cell cap - 1
+    a, b = fed.tolist()
     held = a + b  # cell cap - 1 before the step
     for s, top in enumerate(roll(sums, 0, 0, t, d, max(m, start))):
-        flat[2 * m] += 1.0  # the step's new vertex; top >= m without it, so the flush agrees
+        flat[new] += 1.0  # the step's new vertex; top >= m without it, so the flush agrees
         if held or moment:
             den = 2.0 * s + d
             moment += moment / den + cap * (held * feed / den)
-        a, b = sums[feed].tolist() if top >= feed else (0.0, 0.0)
+        a, b = fed.tolist() if top >= feed else (0.0, 0.0)
         held = a + b
     s_new, s_init = np.ascontiguousarray(sums.T)
     return s_new, s_init, moment
