@@ -172,7 +172,9 @@ def _rows(uniforms):
 
 
 def _grow_holme_kim(m0, m, t, uniforms):
-    """Holme-kim growth in O(m) work per step, for any m.
+    """Holme-kim growth in O(m) work per step, for m >= 2.
+
+    At m=1 it raises IndexError; ``grow`` sends m=1 to _grow_holme_kim_m1.
 
     Step s takes its first endpoint from slot int(u_0 * tdeg) of the
     endpoint list, then m-1 distinct neighbours of it by partial

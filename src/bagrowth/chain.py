@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import exp
+from sys import float_info
 
 import numpy as np
 
@@ -22,6 +23,17 @@ from ._kernels import mixture_roll, roll
 from .errors import ConfigurationError, VerificationError
 
 ROW_TOL = 1e-12
+
+
+def _require(what: str, got: float, want: float, steps: int) -> None:
+    """Raise VerificationError unless |got - want| <= max(ROW_TOL, steps * eps) * max(1, |want|).
+
+    The one rule of every law check. Rounding error grows with the steps
+    rolled (measured below 0.025 * steps * eps), so past 4503 steps the
+    bound grows too; up to there it is ROW_TOL, relative once |want| > 1.
+    """
+    if not abs(got - want) <= max(ROW_TOL, steps * float_info.epsilon) * max(1.0, abs(want)):
+        raise VerificationError(f"{what} {got!r}, not {want!r}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +88,7 @@ class DegreeLaw:
 
     Each roll steps the point mass at start_degree through ``_kernels.roll``
     over the degrees it reads and one more, roll's absorbing cell, and
-    raises VerificationError unless its last row sums to 1 within ROW_TOL.
+    raises VerificationError unless its last row sums to 1 (``_require``).
     """
 
     vertex: int
@@ -98,9 +110,8 @@ class DegreeLaw:
         yield row, 0
         for top in roll(cells, self.start_degree, self.start_time, self.t_max, self.params.d, 0):
             yield row, top
-        if abs(float(row.sum()) - 1.0) > ROW_TOL:
-            raise VerificationError(f"law of vertex {self.vertex} at t={self.t_max} sums "
-                                    f"to {float(row.sum())!r}, not 1")
+        _require(f"law of vertex {self.vertex} at t={self.t_max} sums to",
+                 float(row.sum()), 1, self.t_max - self.start_time)
 
     def column(self, k: int) -> np.ndarray:
         """P(k, i, t) for t = start_time..t_max (a new array), read from the table once built.
@@ -124,19 +135,17 @@ class DegreeLaw:
 
         110 MB for vertex 1 of m=1, m0=3 at t_max = 3700. Raises VerificationError
         unless its last row's mean is start_degree * prod_{s=start_time}^{t_max-1}
-        (1 + 1/(2s + d)) within a relative ROW_TOL.
+        (1 + 1/(2s + d)) (``_require``).
         """
         deg0 = self.start_degree
         out = np.zeros((self.t_max - self.start_time + 1, self.k_max + 1))
         # degrees deg0..k_max + 1: no mass reaches the absorbing k_max + 1
         for (row, top), dense in zip(self._rows(len(out) + 1), out):
             dense[deg0:deg0 + top + 1] = row[:top + 1]
-        mean = float(out[-1] @ np.arange(self.k_max + 1))
         times = np.arange(self.start_time, self.t_max)
         want = deg0 * float((1.0 + 1.0 / (2.0 * times + self.params.d)).prod())
-        if abs(mean - want) > ROW_TOL * want:
-            raise VerificationError(f"law of vertex {self.vertex} at t={self.t_max} has "
-                                    f"mean degree {mean!r}, not {want!r}")
+        _require(f"law of vertex {self.vertex} at t={self.t_max} has mean degree",
+                 float(out[-1] @ np.arange(self.k_max + 1)), want, len(times))
         out.flags.writeable = False
         return out
 
@@ -263,9 +272,9 @@ def network_distribution(t: int, params: ChainParams, k_max: int | None = None, 
     full law's, or rolls the full law once when it cannot. Either way
     tail is the mass above k_max, exact 0 when k_max reaches the top.
 
-    Raises VerificationError if the law does not sum to 1, or its mean
-    degree sum_{k < cap} k p_k + M/(t + m0), with M the carried moment,
-    differs from (N0 + 2mt)/(t + m0), by more than ROW_TOL.
+    Raises VerificationError (``_require``) unless the law sums to 1, its
+    mean degree sum_{k < cap} k p_k + M/(t + m0), with M the carried
+    moment, is (N0 + 2mt)/(t + m0), and cell m is ``closed_form_pmt``.
     """
     if t < 1:
         raise ConfigurationError("t must be >= 1")
@@ -283,13 +292,10 @@ def network_distribution(t: int, params: ChainParams, k_max: int | None = None, 
     probs = padded(probs_full, k_max + 1)[m:]
     tail = float(probs_full[k_max + 1:].sum())
     mean = float((np.arange(cap) * probs_full[:cap]).sum()) + moment / n
-    total = float(probs_full.sum())
-    if abs(total - 1.0) > ROW_TOL:
-        raise VerificationError(f"network law at t={t} sums to {total!r}, not 1")
-    want_mean = (params.n0 + 2 * m * t) / n
-    if abs(mean - want_mean) > ROW_TOL:
-        raise VerificationError(f"network law at t={t} has mean degree "
-                                f"{mean!r}, not {want_mean!r}")
+    _require(f"network law at t={t} sums to", float(probs_full.sum()), 1, t)
+    _require(f"network law at t={t} has mean degree", mean, (params.n0 + 2 * m * t) / n, t)
+    _require(f"network law at t={t} has P(m, t) =", float(probs_full[m]),
+             closed_form_pmt(t, params), t)
     return MixtureDistribution(time=t, params=params, k=np.arange(m, k_max + 1),
                                probs=probs, tail=tail, probs_full=probs_full,
                                mean_degree=mean)

@@ -196,7 +196,7 @@ def _state_name(config: RunConfig) -> str:
     return f"K_{config.m0}" + (f"+{config.t}steps" if config.t else "")
 
 
-def verify_proposition(enum_bound: int = DEFAULT_ENUM_BOUND) -> list:
+def verify_proposition() -> list:
     """Check that the growth kernel gives each vertex probability m*k_i/sum_k.
 
     On each of PROPOSITION_STATES, grown at the m checked, enumerates
@@ -209,7 +209,7 @@ def verify_proposition(enum_bound: int = DEFAULT_ENUM_BOUND) -> list:
         runs = [(HOLME_KIM, m) for m in range(1, m0 + 1)] + [(SEQUENTIAL, 1)]
         for scheme, m in runs:
             config = RunConfig(m0=m0, m=m, t=t, scheme=scheme, seed=seed)
-            recv = one_step_law(config, enum_bound=enum_bound)
+            recv = one_step_law(config)
             state = generate(config)
             total = state.total_degree
             detail = ""

@@ -63,24 +63,23 @@ def write_degree_histogram(state: GraphState, path, header: str = "") -> None:
     write_csv(path, ("k", "count"), sorted(degree_histogram(state).items()), header)
 
 
-def _distribution_columns(dist: MixtureDistribution, analytic) -> dict:
-    """The law's columns by name over dist.k; analytic maps k -> P(k)."""
-    pa = np.array([analytic(int(k)) for k in dist.k])
+def _distribution_columns(dist: MixtureDistribution) -> dict:
+    """The law's columns by name over dist.k, beside the steady state at the law's m."""
+    pa = np.array([steady_state(int(k), dist.params.m) for k in dist.k])
     return {"k": dist.k, "p_exact": dist.probs, "p_analytic": pa,
             "abs_gap": np.abs(dist.probs - pa)}
 
 
-def write_distribution_csv(dist: MixtureDistribution, analytic, path,
-                           header: str = "") -> dict:
-    """CSV 'k,p_exact,p_analytic,abs_gap'; analytic maps k -> P(k). Returns the columns."""
-    cols = _distribution_columns(dist, analytic)
+def write_distribution_csv(dist: MixtureDistribution, path, header: str = "") -> dict:
+    """CSV 'k,p_exact,p_analytic,abs_gap', p_analytic the steady state. Returns the columns."""
+    cols = _distribution_columns(dist)
     write_csv(path, cols, zip(*cols.values()), header)
     return cols
 
 
-def write_distribution_json(dist: MixtureDistribution, analytic, path) -> dict:
+def write_distribution_json(dist: MixtureDistribution, path) -> dict:
     """The law's columns, (m, m0, t) and tail as JSON; returns the columns."""
-    cols = _distribution_columns(dist, analytic)
+    cols = _distribution_columns(dist)
     write_json(path, {"m": dist.params.m, "m0": dist.params.m0, "t": dist.time,
                       **{name: col.tolist() for name, col in cols.items()},
                       "tail": dist.tail, "bagrowth": __version__})

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -441,6 +442,55 @@ def test_window_law_keeps_both_checks(monkeypatch, bad, match):
         bg.network_distribution(2000, P1, 10, cap=11)
 
 
+@cache
+def _rolled_once(*args, cap):
+    """mixture_roll's output, kept for the tests that replay a long roll."""
+    return _kernels.mixture_roll(*args, cap=cap)
+
+
+def _exact_law(monkeypatch, m, m0, t, bend=lambda s_new, n: None):
+    """network_distribution at `exact`'s cap K+1 over a kept roll, its s_new bent by bend."""
+    from bagrowth import chain
+
+    def replay(*args, cap):
+        s_new, s_init, moment = _rolled_once(*args, cap=cap)
+        s_new = s_new.copy()
+        bend(s_new, t + m0)
+        return s_new, s_init.copy(), moment
+
+    monkeypatch.setattr(chain, "mixture_roll", replay)
+    k_max = default_k_max(t, m)
+    return bg.network_distribution(t, bg.ChainParams(m=m, m0=m0), k_max, cap=k_max + 1)
+
+
+@pytest.mark.parametrize("m,m0", [(4, 4), (8, 8)])
+def test_long_m_ge_2_laws_pass_their_checks(monkeypatch, m, m0):
+    # rounding moves these means by 1.9e-12 and 1.5e-12 over 6e4 steps, past a fixed
+    # 1e-12; the bound max(1e-12, steps * eps) * max(1, |want|) grows with the roll
+    _exact_law(monkeypatch, m, m0, 60000)
+
+
+def _more_mass(s_new, n):  # cells from m = 4
+    s_new[4] += 1e-9 * n
+
+
+def _higher_mean(s_new, n):
+    shift = 1e-9 * 8.0 * n  # the mean degree is 8.0 to 4 digits
+    s_new[5:7] += np.array([-shift, shift])
+
+
+def _bent_pmt(s_new, n):
+    s_new[4:7] += np.array([1.0, -2.0, 1.0]) * 1e-9 * n
+
+
+@pytest.mark.parametrize("bend,match", [(_more_mass, "sums to"), (_higher_mean, "mean degree"),
+                                        (_bent_pmt, r"P\(m, t\)")], ids=["sum", "mean", "pmt"])
+def test_long_roll_checks_still_catch_1e_9(monkeypatch, bend, match):
+    # at 6e4 steps the bound is 1.3e-11 relative: 1e-9 of the sum, the mean or P(m, t) fails
+    with pytest.raises(bg.VerificationError, match=f"at t=60000 .*{match}"):
+        _exact_law(monkeypatch, 4, 4, 60000, bend)
+
+
 def _network_distribution_naive(t, params):
     """O(t^2) reference: the network law averaged vertex by vertex over evolve_vertex."""
     acc = np.zeros(max(params.m, params.m0 - 1) + t + 1)
@@ -489,9 +539,8 @@ def test_min_degree_prob_converges():
 
 def test_exports(tmp_path):
     dist = bg.network_distribution(100, P1)
-    analytic = lambda k: bg.steady_state(k, 1)
     csv_path = tmp_path / "d.csv"
-    output.write_distribution_csv(dist, analytic, csv_path, header="# m=1 m0=3 t=100")
+    output.write_distribution_csv(dist, csv_path, header="# m=1 m0=3 t=100")
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "# m=1 m0=3 t=100"
     assert lines[1] == "k,p_exact,p_analytic,abs_gap"
@@ -500,7 +549,7 @@ def test_exports(tmp_path):
     assert abs(float(pe) - float(pa)) == pytest.approx(float(gap), abs=1e-12)
 
     json_path = tmp_path / "d.json"
-    output.write_distribution_json(dist, analytic, json_path)
+    output.write_distribution_json(dist, json_path)
     import json
     obj = json.loads(json_path.read_text())
     assert obj["m"] == 1 and obj["t"] == 100

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,7 +75,7 @@ def test_generate_checks_the_graph_it_writes(tmp_path, monkeypatch, capsys):
 def test_subcommands_reject_options_they_do_not_read(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
@@ -314,19 +316,6 @@ def test_verify_proposition_exits_3_when_a_step_picks_a_vertex_twice(src_env):
     assert "Traceback" not in out.stderr
 
 
-def test_verify_proposition_bound_validation(capsys):
-    assert run(["verify-proposition", "--enum-bound", "2"]) == 1
-
-
-@pytest.mark.parametrize("bound", [3, 4, 5])
-def test_verify_proposition_bound_below_a_state_exits_1(capsys, bound):
-    # the bound admits K_3 but not the larger proposition states
-    assert run(["verify-proposition", "--enum-bound", str(bound)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "enumeration bound is" in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_compare_rejects_threads_below_1(tmp_path, capsys, monkeypatch, threads):
     def called(*args, **kwargs):
@@ -338,6 +327,47 @@ def test_compare_rejects_threads_below_1(tmp_path, capsys, monkeypatch, threads)
     assert code == 1
     assert "threads must be >= 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,why", [
+    (["exact", "--t", "abc"], "invalid int value"),
+    (["generate", "--out", "x"], "the following arguments are required: --seed"),
+    (["grow", "--out", "x"], "invalid choice"),
+])
+def test_a_malformed_command_line_exits_1(tmp_path, monkeypatch, argv, why, capsys):
+    # 1 is the validation code; argparse's own 2 would read as an I/O error
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bagrowth") and why in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_version_exits_0(capsys):
+    from bagrowth import __version__
+
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
+
+
+def _readme_cli_lines():
+    """The bagrowth lines of the sh block under README's "## CLI"."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("bagrowth ")]
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    lines = _readme_cli_lines()
+    assert [shlex.split(line)[1] for line in lines] == [
+        "generate", "exact", "steady", "compare", "verify-proposition"]
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(shlex.split(line, comments=True)[1:]) == 0, line
 
 
 def test_compare_report_is_strict_json(tmp_path):

@@ -252,8 +252,8 @@ def test_verify_proposition_suite():
 def test_verify_proposition_names_the_failing_vertex_by_label(monkeypatch):
     exact = bg.graph.one_step_law
 
-    def last_vertex_off(config, enum_bound):
-        recv = exact(config, enum_bound=enum_bound)
+    def last_vertex_off(config):
+        recv = exact(config)
         recv[-1] += Fraction(1, 1000)
         return recv
 
