@@ -27,8 +27,6 @@ from .graph import (
     new_complete,
 )
 from .limits import (
-    CesaroDiagnostic,
-    cesaro_ratios,
     limit_recursion,
     steady_state,
     steady_state_exact,
@@ -44,6 +42,6 @@ __all__ = [
     "run_replicates",
     "ConfigurationError", "EnumerationBoundError", "VerificationError",
     "GraphState", "RunConfig", "degree_histogram", "generate", "new_complete",
-    "CesaroDiagnostic", "cesaro_ratios", "limit_recursion", "steady_state",
-    "steady_state_exact", "steady_state_partial_sum", "tail_exponent",
+    "limit_recursion", "steady_state", "steady_state_exact",
+    "steady_state_partial_sum", "tail_exponent",
 ]

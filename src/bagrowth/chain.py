@@ -82,7 +82,7 @@ def _start_of(i: int, params: ChainParams, t_max: int | None = None,
     return start, deg0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegreeLaw:
     """P(k, i, t) for one vertex i over t = start_time..t_max; no cells, rolled when read.
 
@@ -114,16 +114,14 @@ class DegreeLaw:
                  float(row.sum()), 1, self.t_max - self.start_time)
 
     def column(self, k: int) -> np.ndarray:
-        """P(k, i, t) for t = start_time..t_max (a new array), read from the table once built.
+        """P(k, i, t) for t = start_time..t_max (a new array).
 
-        Else rolls degrees start_degree..k+1 alone, k+1 absorbing the mass
+        Rolls degrees start_degree..k+1 alone, k+1 absorbing the mass
         above k, and keeps the table's bits in every cell at >= 1e-280 (tested).
         """
         j = k - self.start_degree
         if j < 0 or k > self.k_max:
             return np.zeros(self.t_max - self.start_time + 1)
-        if "table" in vars(self):  # cached_property's slot
-            return self.table[:, k].copy()
         out = np.empty(self.t_max - self.start_time + 1)
         for i, (row, _) in enumerate(self._rows(j + 2)):
             out[i] = row[j]

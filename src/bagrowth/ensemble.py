@@ -307,23 +307,20 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution) -> FitRep
 
 
 def compare_to_limit(stats: EnsembleStats, k_range: tuple,
-                     exact: MixtureDistribution | None = None) -> FitReport:
+                     exact: MixtureDistribution) -> FitReport:
     """Relative gaps of empirical frequencies vs the limit at the ensemble's m.
 
     k_range = (lo, hi) must satisfy m <= lo <= hi. Precondition check:
-    the exact finite-t law must already sit closer to the limit than the
-    ensemble's statistical resolution over k_range; when it does not,
-    the report is flagged inconclusive rather than failed. Pass `exact`
-    when the caller holds the ensemble's law rolled past hi; otherwise it
-    is rolled here up to degree hi + 1. The tail exponent is fitted over
+    the exact finite-t law, the ensemble's own rolled past hi, must
+    already sit closer to the limit than the ensemble's statistical
+    resolution over k_range; when it does not, the report is flagged
+    inconclusive rather than failed. The tail exponent is fitted over
     k in [5, 50] at every m.
     """
     cfg, (lo, hi) = stats.config, k_range
     m = cfg.m
     if not m <= lo <= hi:
         raise ConfigurationError(f"k_range ({lo}, {hi}) must satisfy m <= lo <= hi (m={m})")
-    if exact is None:
-        exact = network_distribution(cfg.t, cfg.params, k_max=hi, cap=hi + 1)
     stats.check_law(exact, hi)
     ks = np.arange(lo, hi + 1)
     limit = np.array([steady_state(int(k), m) for k in ks])

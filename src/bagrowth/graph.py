@@ -136,7 +136,7 @@ def degree_histogram(state: GraphState) -> dict:
     return {int(k): int(c) for k, c in enumerate(counts) if c > 0}
 
 
-def one_step_law(config: RunConfig, enum_bound: int = DEFAULT_ENUM_BOUND) -> list:
+def one_step_law(config: RunConfig) -> list:
     """Exact law of step t+1's targets, enumerated over the growth kernel's own map.
 
     Grows config.t steps from config.seed as ``generate`` does, then
@@ -144,15 +144,15 @@ def one_step_law(config: RunConfig, enum_bound: int = DEFAULT_ENUM_BOUND) -> lis
     ``grow`` with rational weights. Each uniform picks one of `cells`
     equal cells: a slot int(u * cells) for holme-kim, the integer
     cumulative-weight interval holding u * cells for sequential, so
-    weight 1/cells per draw gives the step's exact law. enum_bound is
-    the largest vertex count admitted. Returns Fractions recv, indexed
+    weight 1/cells per draw gives the step's exact law. DEFAULT_ENUM_BOUND
+    is the largest vertex count admitted. Returns Fractions recv, indexed
     like GraphState.degree: recv[v] is the probability that v receives
     an edge. Raises VerificationError if one step picks a vertex twice.
     """
     m0, m, t = config.m0, config.m, config.t
-    if m0 + t > enum_bound:
+    if m0 + t > DEFAULT_ENUM_BOUND:
         raise EnumerationBoundError(
-            f"state has {m0 + t} vertices, enumeration bound is {enum_bound}")
+            f"state has {m0 + t} vertices, enumeration bound is {DEFAULT_ENUM_BOUND}")
     sequential = config.scheme == SEQUENTIAL
     # generate's t rows of uniforms, then a row for the enumerated step
     uniforms = default_rng(SeedSequence(config.seed)).random((t + 1, m))

@@ -1,19 +1,14 @@
-"""Steady-state degree distribution and convergence diagnostics.
+"""Steady-state degree distribution and the tail-exponent fit.
 
 The limiting network degree law is P(k) = 2m(m+1) / (k(k+1)(k+2)) for
 k >= m, reachable by iterating P(k) = (k-1)/(k+2) * P(k-1) from
-P(m) = 2/(m+2). Both forms are kept in exact rational arithmetic. The
-Cesaro ratio sequence (2n + d) / ((m+2)n + d + m*m0) is the closed-form
-difference quotient whose limit establishes P(m); its gap to 2/(m+2)
-decays like C/n and serves as a convergence-rate reference.
+P(m) = 2/(m+2). Both forms are kept in exact rational arithmetic.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .chain import ChainParams
 from .errors import ConfigurationError
 
 
@@ -49,37 +44,6 @@ def steady_state_partial_sum(k_hi: int, m: int) -> Fraction:
     if k_hi < m:
         raise ConfigurationError("k_hi must be >= m")
     return 1 - Fraction(m * (m + 1), (k_hi + 1) * (k_hi + 2))
-
-
-@dataclass
-class CesaroDiagnostic:
-    """Closed-form difference-quotient ratios and their gap to 2/(m+2)."""
-
-    params: ChainParams
-    n: np.ndarray
-    ratios: np.ndarray
-    ratios_exact: list  # Fractions, same order
-
-    @property
-    def limit(self) -> Fraction:
-        return Fraction(2, self.params.m + 2)
-
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.abs(self.ratios - float(self.limit))
-
-
-def cesaro_ratios(n_max: int, params: ChainParams) -> CesaroDiagnostic:
-    """Ratio sequence (2n + d) / ((m+2)n + d + m*m0) for n = 1..n_max."""
-    if n_max < 1:
-        raise ConfigurationError("n_max must be >= 1")
-    m, m0, d = params.m, params.m0, params.d_exact
-    exact = [Fraction(2 * n + d, (m + 2) * n + d + m * m0)
-             for n in range(1, n_max + 1)]
-    return CesaroDiagnostic(params=params,
-                            n=np.arange(1, n_max + 1),
-                            ratios=np.array([float(r) for r in exact]),
-                            ratios_exact=exact)
 
 
 def tail_exponent(k, p) -> float:

@@ -15,7 +15,7 @@ from . import __version__
 from .chain import MixtureDistribution, padded
 from .ensemble import EnsembleStats, FitReport
 from .graph import GraphState, degree_histogram
-from .limits import CesaroDiagnostic, steady_state
+from .limits import steady_state
 
 EDGE_BLOCK = 4096  # edges labelled and formatted per write
 
@@ -115,7 +115,3 @@ def write_report_json(report: FitReport, path, meta: dict | None = None) -> None
     """The fit report's fields, the version, then `meta`'s extra fields."""
     write_json(path, {**report.as_dict(), "bagrowth": __version__, **(meta or {})})
 
-
-def write_cesaro_csv(diag: CesaroDiagnostic, path, header: str = "") -> None:
-    """CSV 'n,ratio,gap'."""
-    write_csv(path, ("n", "ratio", "gap"), zip(diag.n, diag.ratios, diag.gaps), header)

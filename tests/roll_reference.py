@@ -6,6 +6,7 @@ steps shared one transition table per block: five ufuncs and a flush per
 step, on a window that ends at top + 1 (or at an absorbing cap). The
 tests pin both rolls to these references on every cell.
 ``evolve_vertex_exact`` is the same chain in rational arithmetic.
+``DenseLaw`` reads a dense table as ``passage_curve`` reads a law.
 """
 
 from fractions import Fraction
@@ -119,3 +120,17 @@ def evolve_vertex_exact(i, t_max, params):
         cur = {k: v for k, v in nxt.items() if v != 0}
         rows.append(cur)
     return rows
+
+
+class DenseLaw:
+    """A law read from a dense table: passage_curve's reference reader.
+
+    column(k) is a view of the table's column k, and zeros outside its
+    columns, as ``DegreeLaw.column`` reads outside the support.
+    """
+
+    def __init__(self, i, t_max, params, table):
+        self.vertex, self.t_max, self.params, self.table = i, t_max, params, table
+
+    def column(self, k):
+        return self.table[:, k] if 0 <= k < self.table.shape[1] else np.zeros(len(self.table))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bagrowth as bg
+from roll_reference import DenseLaw
 
 
 def _report(num, name, ok):
@@ -34,11 +35,11 @@ def test_criterion_2_oracle_equivalence():
         t_max = 200
         for i in range(1, t_max + 1):
             law = bg.evolve_vertex(i, t_max, params)
-            law.table  # rolled once; passage_curve and column read it
+            tabled = DenseLaw(i, t_max, params, law.table)  # one roll, read by both routes
             deg0 = law.start_degree
             for k in range(deg0 + 1, deg0 + (t_max - i) + 1):
-                curve = bg.passage_curve(k, i, t_max, params, law=law)
-                direct = law.column(k)
+                curve = bg.passage_curve(k, i, t_max, params, law=tabled)
+                direct = tabled.column(k)
                 gap = float(np.abs(curve - direct).max())
                 if gap > worst:
                     worst = gap
@@ -67,7 +68,7 @@ def test_criterion_5_monte_carlo_agreement():
     stats = bg.run_replicates(cfg, threads=4)
     exact = bg.network_distribution(10_000, bg.ChainParams(m=1, m0=3))
     fit = bg.compare_to_exact(stats, exact)
-    limit = bg.compare_to_limit(stats, (1, 8))
+    limit = bg.compare_to_limit(stats, (1, 8), exact=exact)
     ok = (bool(np.all(limit.rel_gaps < 0.05))
           and not limit.inconclusive
           and fit.passed

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from functools import cache
 
@@ -9,7 +10,7 @@ from bagrowth import _kernels, output
 from bagrowth._kernels import DBL_MIN
 from bagrowth.chain import default_k_max
 import roll_reference
-from roll_reference import flush_top, roll_step
+from roll_reference import DenseLaw, flush_top, roll_step
 
 P1 = bg.ChainParams(m=1, m0=3)   # d = 6
 P2 = bg.ChainParams(m=2, m0=5)   # N0 = 20, d = 10
@@ -122,16 +123,6 @@ def _evolve_dense(i, t_max, params):
     return table
 
 
-class _DenseLaw:
-    """A law read from a dense table: passage_curve's reference reader."""
-
-    def __init__(self, i, t_max, params, table):
-        self.vertex, self.t_max, self.params, self.table = i, t_max, params, table
-
-    def column(self, k):
-        return self.table[:, k]
-
-
 DENSE_CASES = [  # (i, t_max, params, ks, ts); None: every k, every t
     (1, 3700, P1, (1, 2, 300, 2000, 2520, 2521, 2522, 3700), (1, 2, 1000, 2500, 3700)),
     (4, 60, P2, None, None),
@@ -151,12 +142,15 @@ def test_band_keeps_the_dense_tables_bits(i, t_max, params, ks, ts):
     table = law.table
     assert table.tobytes() == dense.tobytes()
     assert not table.flags.writeable
+    # the law's columns read from its table; a fresh column(k) rolls and
+    # keeps the table's bits (test_capped_column_keeps_the_tables_bits)
+    tabled = DenseLaw(i, t_max, params, table)
     for k in ks:
         want = dense[:, k] if 0 <= k <= law.k_max else np.zeros(len(dense))
-        assert law.column(k).tobytes() == want.tobytes()
+        assert tabled.column(k).tobytes() == want.tobytes()
         if deg0 < k <= law.k_max:
-            got = bg.passage_curve(k, i, t_max, params, law=law)
-            ref = bg.passage_curve(k, i, t_max, params, law=_DenseLaw(i, t_max, params, dense))
+            got = bg.passage_curve(k, i, t_max, params, law=tabled)
+            ref = bg.passage_curve(k, i, t_max, params, law=DenseLaw(i, t_max, params, dense))
             assert got.tobytes() == ref.tobytes()
     for t in ts:
         for k in (deg0 - 1, deg0, deg0 + (t - start) // 2, deg0 + t - start):
@@ -179,6 +173,22 @@ def test_capped_column_keeps_the_tables_bits(i, t_max, params, ks, ts):
     for k in ks:
         want = table[:, k] if 0 <= k <= k_max else np.zeros(len(table))
         assert bg.evolve_vertex(i, t_max, params).column(k).tobytes() == want.tobytes()
+
+
+def test_column_never_reads_the_table():
+    # a built table changes no column: column(k) rolls on every read
+    law = bg.evolve_vertex(4, 60, P2)
+    law.__dict__["table"] = np.full(law.table.shape, np.nan)  # cached_property's slot
+    for k in range(law.start_degree - 1, law.k_max + 2):
+        assert law.column(k).tobytes() == bg.evolve_vertex(4, 60, P2).column(k).tobytes()
+
+
+def test_a_law_is_frozen():
+    # a law's fields fix its table: a new span is a new law
+    law = bg.evolve_vertex(1, 100, P1)
+    for field in dataclasses.fields(law):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(law, field.name, 50)
 
 
 @pytest.mark.parametrize("drop,match", [(1e-9, "sums to"), (5e-13, "mean degree")])
@@ -313,11 +323,11 @@ def test_passage_matches_evolution_small():
     for params in (P1, P2):
         for i in (1, 2, 7, -1):
             law = bg.evolve_vertex(i, 60, params)
-            law.table  # rolled once; passage_curve and column read it
+            tabled = DenseLaw(i, 60, params, law.table)  # one roll, read by both routes
             deg0 = law.start_degree
             for k in range(deg0 + 1, deg0 + 60 - law.start_time + 1):
-                curve = bg.passage_curve(k, i, 60, params, law=law)
-                direct = law.column(k)
+                curve = bg.passage_curve(k, i, 60, params, law=tabled)
+                direct = tabled.column(k)
                 np.testing.assert_allclose(curve, direct, atol=1e-13)
 
 

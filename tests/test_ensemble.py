@@ -121,8 +121,9 @@ def test_compare_to_limit_refuses_a_law_capped_within_k_range():
 @pytest.mark.parametrize("m, k_range", [(1, (5, 3)), (1, (0, 5)), (2, (1, 6))])
 def test_compare_to_limit_refuses_a_k_range_outside_m_lo_hi(m, k_range):
     stats = bg.run_replicates(bg.RunConfig(m0=3, m=m, t=20, seed=1, replicates=2))
+    exact = bg.network_distribution(20, bg.ChainParams(m=m, m0=3))
     with pytest.raises(bg.ConfigurationError, match="m <= lo <= hi"):
-        bg.compare_to_limit(stats, k_range)
+        bg.compare_to_limit(stats, k_range, exact=exact)
 
 
 def test_write_stats_csv_refuses_another_chains_law(tmp_path):
@@ -131,16 +132,6 @@ def test_write_stats_csv_refuses_another_chains_law(tmp_path):
     with pytest.raises(bg.ConfigurationError, match="differ"):
         output.write_stats_csv(stats, exact, tmp_path / "stats.csv")
     assert not (tmp_path / "stats.csv").exists()
-
-
-def test_compare_to_limit_given_law_matches_rolled():
-    cfg = bg.RunConfig(m0=3, m=1, t=300, seed=3, replicates=10)
-    stats = bg.run_replicates(cfg)
-    exact = bg.network_distribution(300, bg.ChainParams(m=1, m0=3))
-    given = bg.compare_to_limit(stats, (1, 6), exact=exact)
-    rolled = bg.compare_to_limit(stats, (1, 6))
-    assert given.as_dict() == rolled.as_dict()
-    assert np.array_equal(given.rel_gaps, rolled.rel_gaps)
 
 
 def test_chi2_threshold_is_scipy_stats_quantile():
@@ -231,14 +222,16 @@ def test_compare_to_limit_inconclusive_at_small_t():
     # at tiny t the exact law is still far from the limit
     cfg = bg.RunConfig(m0=3, m=1, t=30, seed=7, replicates=500)
     stats = bg.run_replicates(cfg)
-    report = bg.compare_to_limit(stats, (1, 5))
+    exact = bg.network_distribution(30, bg.ChainParams(m=1, m0=3))
+    report = bg.compare_to_limit(stats, (1, 5), exact=exact)
     assert report.inconclusive
 
 
 def test_compare_to_limit_large_t():
     cfg = bg.RunConfig(m0=3, m=1, t=4000, seed=99, replicates=60)
     stats = bg.run_replicates(cfg, threads=2)
-    report = bg.compare_to_limit(stats, (1, 6))
+    exact = bg.network_distribution(4000, bg.ChainParams(m=1, m0=3))
+    report = bg.compare_to_limit(stats, (1, 6), exact=exact)
     assert not report.inconclusive
     assert np.all(report.rel_gaps < 0.1)
 
@@ -248,7 +241,8 @@ def test_sequential_baseline_tail_exponent():
     cfg = bg.RunConfig(m0=5, m=2, t=3000, seed=1234, scheme="sequential",
                        replicates=20)
     stats = bg.run_replicates(cfg, threads=2)
-    report = bg.compare_to_limit(stats, (2, 10))
+    exact = bg.network_distribution(3000, bg.ChainParams(m=2, m0=5))
+    report = bg.compare_to_limit(stats, (2, 10), exact=exact)
     assert 2.6 <= -report.exponent <= 3.4
 
 

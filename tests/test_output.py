@@ -16,7 +16,7 @@ import pytest
 
 import bagrowth
 from bagrowth.cli import main
-from bagrowth.output import write_cesaro_csv, write_json
+from bagrowth.output import write_json
 
 DIGESTS = [
     (["generate", "--m0", "3", "--m", "2", "--t", "3000", "--seed", "1"], {
@@ -87,12 +87,6 @@ def test_bench_jobs_match_their_golden_digests(tmp_path, workload):
     golden = json.loads((PERFBENCH / "golden.json").read_text())[workload]
     assert main(job["argv"]) == 0
     assert {sfx: _sha256(job["out"] + sfx) for sfx in job["outputs"]} == golden
-
-
-def test_cesaro_csv_bytes(tmp_path):
-    path = tmp_path / "cesaro.csv"
-    write_cesaro_csv(bagrowth.cesaro_ratios(30, bagrowth.ChainParams(m=1, m0=3)), path)
-    assert _sha256(path) == "c9d5afaad5fe25fbfdae32283bf18f5c1e1d9c9a3650372819d23d1a7123d02c"
 
 
 @pytest.mark.parametrize("module", ["graph", "chain", "limits", "ensemble", "_kernels"])
