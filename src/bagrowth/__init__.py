@@ -24,10 +24,8 @@ from .graph import (
     RunConfig,
     degree_histogram,
     generate,
-    new_complete,
 )
 from .limits import (
-    limit_recursion,
     steady_state,
     steady_state_exact,
     steady_state_partial_sum,
@@ -41,7 +39,7 @@ __all__ = [
     "EnsembleStats", "FitReport", "compare_to_exact", "compare_to_limit",
     "run_replicates",
     "ConfigurationError", "EnumerationBoundError", "VerificationError",
-    "GraphState", "RunConfig", "degree_histogram", "generate", "new_complete",
-    "limit_recursion", "steady_state", "steady_state_exact",
+    "GraphState", "RunConfig", "degree_histogram", "generate",
+    "steady_state", "steady_state_exact",
     "steady_state_partial_sum", "tail_exponent",
 ]

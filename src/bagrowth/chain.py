@@ -12,7 +12,6 @@ probability of the minimum degree.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import exp
 from sys import float_info
@@ -57,10 +56,6 @@ class ChainParams:
     def d(self) -> float:
         return self.n0 / self.m
 
-    @property
-    def d_exact(self) -> Fraction:
-        return Fraction(self.n0, self.m)
-
 
 def _start_of(i: int, params: ChainParams, t_max: int | None = None,
               k: int | None = None):
@@ -86,6 +81,7 @@ def _start_of(i: int, params: ChainParams, t_max: int | None = None,
 class DegreeLaw:
     """P(k, i, t) for one vertex i over t = start_time..t_max; no cells, rolled when read.
 
+    Its start is ``_start_of(vertex, params)``, checked against t_max when built.
     Each roll steps the point mass at start_degree through ``_kernels.roll``
     over the degrees it reads and one more, roll's absorbing cell, and
     raises VerificationError unless its last row sums to 1 (``_require``).
@@ -93,9 +89,18 @@ class DegreeLaw:
 
     vertex: int
     params: ChainParams
-    start_time: int
-    start_degree: int
     t_max: int
+
+    def __post_init__(self):
+        _start_of(self.vertex, self.params, self.t_max)
+
+    @property
+    def start_time(self) -> int:
+        return _start_of(self.vertex, self.params)[0]
+
+    @property
+    def start_degree(self) -> int:
+        return _start_of(self.vertex, self.params)[1]
 
     @property
     def k_max(self) -> int:
@@ -153,9 +158,7 @@ def evolve_vertex(i: int, t_max: int, params: ChainParams) -> DegreeLaw:
 
     New vertices start at degree m at time t = i; initial ones at degree m0-1 at time 0.
     """
-    start, deg0 = _start_of(i, params, t_max)
-    return DegreeLaw(vertex=i, params=params, start_time=start, start_degree=deg0,
-                     t_max=t_max)
+    return DegreeLaw(vertex=i, params=params, t_max=t_max)
 
 
 def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
@@ -200,7 +203,7 @@ def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixtureDistribution:
     """Network-level degree law P(k, t) averaged over all vertices.
 
@@ -213,11 +216,24 @@ class MixtureDistribution:
 
     time: int
     params: ChainParams
-    k: np.ndarray            # reported degrees m..k_max
-    probs: np.ndarray
-    tail: float              # mass above k_max, summed directly
+    k_max: int               # the largest reported degree
     probs_full: np.ndarray   # cells 0..cap, the last holding the mass at degrees >= cap
     mean_degree: float
+
+    @property
+    def k(self) -> np.ndarray:
+        """The reported degrees m..k_max."""
+        return np.arange(self.params.m, self.k_max + 1)
+
+    @property
+    def probs(self) -> np.ndarray:
+        """P(k, t) over k."""
+        return padded(self.probs_full, self.k_max + 1)[self.params.m:]
+
+    @property
+    def tail(self) -> float:
+        """The mass above k_max, summed directly."""
+        return float(self.probs_full[self.k_max + 1:].sum())
 
     @property
     def cap(self) -> int:
@@ -287,15 +303,12 @@ def network_distribution(t: int, params: ChainParams, k_max: int | None = None, 
     cap = kcap if cap is None else min(cap, kcap)
     s_new, s_init, moment = mixture_roll(m, m0, params.d, t, cap=cap)
     probs_full = (s_new + s_init) / n
-    probs = padded(probs_full, k_max + 1)[m:]
-    tail = float(probs_full[k_max + 1:].sum())
     mean = float((np.arange(cap) * probs_full[:cap]).sum()) + moment / n
     _require(f"network law at t={t} sums to", float(probs_full.sum()), 1, t)
     _require(f"network law at t={t} has mean degree", mean, (params.n0 + 2 * m * t) / n, t)
     _require(f"network law at t={t} has P(m, t) =", float(probs_full[m]),
              closed_form_pmt(t, params), t)
-    return MixtureDistribution(time=t, params=params, k=np.arange(m, k_max + 1),
-                               probs=probs, tail=tail, probs_full=probs_full,
+    return MixtureDistribution(time=t, params=params, k_max=k_max, probs_full=probs_full,
                                mean_degree=mean)
 
 

@@ -115,7 +115,7 @@ def cmd_exact(args) -> int:
     else:
         cols = write_distribution_csv(dist, args.out,
                                       header=header(m=args.m, m0=args.m0, t=args.t,
-                                                    k_max=int(dist.k[-1])))
+                                                    k_max=dist.k_max))
     print(f"max_gap={cols['abs_gap'].max():.6g}")
     return 0
 
@@ -141,7 +141,7 @@ def cmd_compare(args) -> int:
                                  cap=fit_cap(config.t, config.m, k_max))
     stats = run_replicates(config, threads=args.threads)
     report = compare_to_exact(stats, exact)
-    limit_hi = min(8 * args.m, int(exact.k[-1]))
+    limit_hi = min(8 * args.m, exact.k_max)
     limit_report = compare_to_limit(stats, (args.m, limit_hi), exact=exact)
     head = header(m0=args.m0, m=args.m, t=args.t, seed=args.seed,
                   scheme=args.scheme, replicates=args.replicates)

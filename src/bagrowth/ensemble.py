@@ -290,7 +290,7 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution) -> FitRep
     obs_g, exp_g, inert = groups(exact)
     rerolled = exact.capped and not (len(counts) <= exact.cap and inert)
     if rerolled:
-        exact = network_distribution(cfg.t, cfg.params, int(exact.k[-1]))
+        exact = network_distribution(cfg.t, cfg.params, exact.k_max)
         obs_g, exp_g, _ = groups(exact)
     chi2 = float(((obs_g - exp_g) ** 2 / exp_g).sum())
     dof = len(obs_g) - 1

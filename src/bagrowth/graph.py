@@ -111,11 +111,6 @@ class RunConfig:
         return ChainParams(m=self.m, m0=self.m0)
 
 
-def new_complete(m0: int) -> GraphState:
-    """The initial complete graph K_{m0} (labels -m0..-1): growth at t=0."""
-    return generate(RunConfig(m0=m0, m=1, t=0))
-
-
 def generate(config: RunConfig) -> GraphState:
     """Grow a graph from K_{m0} for t steps; pure function of (config, seed).
 

@@ -2,7 +2,7 @@
 
 The limiting network degree law is P(k) = 2m(m+1) / (k(k+1)(k+2)) for
 k >= m, reachable by iterating P(k) = (k-1)/(k+2) * P(k-1) from
-P(m) = 2/(m+2). Both forms are kept in exact rational arithmetic.
+P(m) = 2/(m+2). The closed form is also kept in exact rational arithmetic.
 """
 
 from fractions import Fraction
@@ -26,14 +26,6 @@ def steady_state(k: int, m: int) -> float:
     if m < 1 or k < m:
         steady_state_exact(k, m)  # raises the ConfigurationError
     return 2 * m * (m + 1) / (k * (k + 1) * (k + 2))
-
-
-def limit_recursion(prev, k: int):
-    """One step of the limit recursion: P(k) = (k-1)/(k+2) * P(k-1).
-
-    Works on Fractions (exact) and floats alike.
-    """
-    return prev * (k - 1) / (k + 2)
 
 
 def steady_state_partial_sum(k_hi: int, m: int) -> Fraction:

@@ -73,7 +73,7 @@ def _distribution_columns(dist: MixtureDistribution) -> dict:
 def write_distribution_csv(dist: MixtureDistribution, path, header: str = "") -> dict:
     """CSV 'k,p_exact,p_analytic,abs_gap', p_analytic the steady state. Returns the columns."""
     cols = _distribution_columns(dist)
-    write_csv(path, cols, zip(*cols.values()), header)
+    write_csv(path, cols, zip(*(col.tolist() for col in cols.values())), header)
     return cols
 
 
@@ -103,11 +103,11 @@ def write_steady_json(m: int, k_max: int, path) -> None:
 def write_stats_csv(stats: EnsembleStats, exact: MixtureDistribution, path,
                     header: str = "") -> None:
     """CSV 'k,count,freq,se,p_exact,p_limit' over the window of the ensemble's law."""
-    m, n = stats.config.m, int(exact.k[-1]) + 1
+    m, n = stats.config.m, exact.k_max + 1
     stats.check_law(exact, n - 1)
     counts, freq, se = (padded(x, n) for x in (stats.counts, stats.freq, stats.se))
     rows = [(k, int(counts[k]), float(freq[k]), float(se[k]), p, steady_state(k, m))
-            for k, p in zip(exact.k.tolist(), exact.probs)]
+            for k, p in zip(exact.k.tolist(), exact.probs.tolist())]
     write_csv(path, ("k", "count", "freq", "se", "p_exact", "p_limit"), rows, header)
 
 

@@ -107,7 +107,7 @@ def evolve_vertex_exact(i, t_max, params):
     a cross-check oracle for the floating-point roll.
     """
     start, deg0 = (i, params.m) if i >= 1 else (0, params.m0 - 1)
-    d = params.d_exact
+    d = Fraction(params.n0, params.m)
     rows = [{deg0: Fraction(1)}]
     cur = rows[0]
     for t in range(start, t_max):

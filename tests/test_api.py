@@ -1,5 +1,6 @@
 """The package as a whole: ``__all__`` lists each public name once, each
-exists, and no module checks an invariant with ``assert``."""
+exists, no module checks an invariant with ``assert``, and README's
+library sketch runs."""
 
 import ast
 import subprocess
@@ -28,3 +29,10 @@ def test_package_has_no_assert():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_readme_library_sketch_runs_as_written():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## Library sketch\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "bg.DegreeLaw(vertex=1, params=params, t_max=200) == law" in block
+    exec(compile(block, "README.md", "exec"), {})

@@ -1,5 +1,4 @@
 import dataclasses
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -27,7 +26,6 @@ def test_params_validation():
         bg.ChainParams(m=4, m0=3)
     assert P2.n0 == 20
     assert P2.d == 10.0
-    assert P1.d_exact == Fraction(6)
 
 
 def test_evolve_point_mass_at_entry():
@@ -189,6 +187,23 @@ def test_a_law_is_frozen():
     for field in dataclasses.fields(law):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(law, field.name, 50)
+
+
+def test_a_law_stores_only_its_vertex_params_and_span():
+    # the start derives from (vertex, params): a hand-built law is evolve_vertex's
+    law = bg.DegreeLaw(vertex=1, params=P1, t_max=100)
+    assert [field.name for field in dataclasses.fields(law)] == ["vertex", "params", "t_max"]
+    assert law == bg.evolve_vertex(1, 100, P1)
+    assert (law.start_time, law.start_degree) == (1, 1)
+    assert (bg.passage_curve(5, 1, 100, P1, law=law).tobytes()
+            == bg.passage_curve(5, 1, 100, P1).tobytes())
+
+
+@pytest.mark.parametrize("vertex,t_max,match", [
+    (0, 100, "invalid vertex label 0"), (-4, 100, "invalid vertex label -4"), (5, 4, "precedes")])
+def test_a_law_checks_its_start_when_built(vertex, t_max, match):
+    with pytest.raises(bg.ConfigurationError, match=match):
+        bg.DegreeLaw(vertex=vertex, params=P1, t_max=t_max)
 
 
 @pytest.mark.parametrize("drop,match", [(1e-9, "sums to"), (5e-13, "mean degree")])
@@ -433,6 +448,18 @@ def test_window_law_matches_full_roll(m, m0, t, k_max):
         assert win.probs_full.tobytes() == full.probs_full.tobytes()
         assert win.probs.tobytes() == full.probs.tobytes()
         assert win.mean_degree == full.mean_degree
+
+
+def test_a_network_law_is_frozen_and_derives_its_window():
+    dist = bg.network_distribution(300, P1, 20, cap=21)
+    names = [field.name for field in dataclasses.fields(dist)]
+    assert names == ["time", "params", "k_max", "probs_full", "mean_degree"]
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(dist, name, 50)
+    assert dist.k.tolist() == list(range(1, 21))
+    assert dist.probs.tobytes() == dist.probs_full[1:21].tobytes()
+    assert dist.tail == dist.probs_full[21]
 
 
 @pytest.mark.parametrize("bad,match", [("moment", "mean degree"), ("mass", "sums to")])

