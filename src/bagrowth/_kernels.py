@@ -1,15 +1,16 @@
 """Hot inner loops: graph growth and the degree-law forward roll.
 
 Growth consumes pre-drawn uniform variates, m per step, so a fixed seed
-gives a fixed graph. There is one kernel per scheme: holme-kim at m=1
-resolves every target at once by pointer jumping over the endpoint
-list; holme-kim at m>1 writes the new vertex's half of every grown edge
-and each block's first-pick slots in NumPy, so its Python step loop, of
-O(m) work per step, only draws neighbours and writes targets, reading a
-vertex's degree from the length of its neighbour record (no degree
-array; both holme-kim kernels return the endpoint list's bincount);
-sequential draws each target by a descent of a Fenwick tree over the
-integer degrees. ``grow`` dispatches between them.
+gives a fixed graph. ``grow`` writes the edge list's skeleton, the
+clique's pairs and the new vertex's half of every grown edge, then
+hands it to one kernel per scheme, which writes only the targets:
+holme-kim at m=1 resolves every target at once by pointer jumping over
+the endpoint list; holme-kim at m>1 writes each block's first-pick
+slots in NumPy, so its Python step loop, of O(m) work per step, only
+draws neighbours and writes targets, reading a vertex's degree from the
+length of its neighbour record (no degree array; ``grow`` returns the
+endpoint list's bincount for holme-kim); sequential draws each target
+by a descent of a Fenwick tree over the integer degrees.
 """
 
 from array import array
@@ -133,33 +134,26 @@ def mixture_roll(m, m0, d, t, *, cap=None):
     return s_new, s_init, moment
 
 
-def _grow_holme_kim_m1(m0, t, u):
-    """Holme-kim growth at m=1, without a step loop.
+def _grow_holme_kim_m1(edges, e_init, u):
+    """Holme-kim growth at m=1, without a step loop: writes edges[e_init:, 1].
 
     Step s picks slot idx_s = int(u_s * tdeg_s) of the endpoint list.
     Even slots of new edges hold the new vertex, initial slots hold the
     clique, so only odd slots (the targets) are unknown, and each copies
     an earlier slot. Pointer jumping (src = src[src]) resolves every
     copy chain in O(log depth) passes of O(E) work each. Consumes the
-    same uniforms as _grow_holme_kim and returns the same (edges, degree).
+    same uniforms as _grow_holme_kim and writes the same targets.
     """
-    e_init = m0 * (m0 - 1) // 2
-    edges = np.empty((e_init + t, 2), np.int64)
-    edges[:e_init, 0], edges[:e_init, 1] = np.triu_indices(m0, 1)
-    edges[e_init:, 0] = np.arange(m0, m0 + t)
-    tdeg = 2 * (e_init + np.arange(t, dtype=np.int64))
+    tdeg = 2 * (e_init + np.arange(len(u), dtype=np.int64))
     idx = np.minimum((u * tdeg).astype(np.int64), tdeg - 1)
-    src = np.arange(2 * (e_init + t), dtype=np.int64)
+    src = np.arange(edges.size, dtype=np.int64)
     src[2 * e_init + 1::2] = idx
     while True:
         nxt = src[src]
         if np.array_equal(nxt, src):
             break
         src = nxt
-    flat = edges.reshape(-1)  # slot p of the endpoint list is flat[p]
-    edges[e_init:, 1] = flat[src[2 * e_init + 1::2]]
-    degree = np.bincount(flat, minlength=m0 + t).astype(np.int64, copy=False)
-    return edges, degree
+    edges[e_init:, 1] = edges.reshape(-1)[src[2 * e_init + 1::2]]  # slot p is flat cell p
 
 
 BLOCK = 1024  # steps of uniforms unboxed per .tolist()
@@ -171,8 +165,8 @@ def _rows(uniforms):
         yield from uniforms[lo:lo + BLOCK].tolist()
 
 
-def _grow_holme_kim(m0, m, t, uniforms):
-    """Holme-kim growth in O(m) work per step, for m >= 2.
+def _grow_holme_kim(edges, m0, m, t, uniforms):
+    """Holme-kim growth in O(m) work per step, for m >= 2: writes the targets of edges.
 
     At m=1 it raises IndexError; ``grow`` sends m=1 to _grow_holme_kim_m1.
 
@@ -188,20 +182,16 @@ def _grow_holme_kim(m0, m, t, uniforms):
     and len(later[v]) for an initial one. The shuffle records only the
     displaced positions, so no neighbour list is walked.
 
-    What needs no earlier step is written before the loop: the clique,
-    the new vertex's half of every grown edge and, per block of BLOCK
-    steps, every first-pick slot as one vector (a slot below tdeg was
-    written by an earlier step). The loop writes each target straight
-    into its endpoint slot and appends the new vertex to its ``later``.
-    The first neighbour draw needs no record of displaced positions,
-    since nothing has moved yet; draws 2..m-1 keep one in ``moved``.
-    The degree is the endpoint list's bincount.
+    Per block of BLOCK steps, every first-pick slot is drawn as one
+    vector before the loop (a slot below tdeg was written by an earlier
+    step). The loop reads and writes the endpoint list through a
+    memoryview of edges: it writes each target straight into its slot
+    and appends the new vertex to its ``later``. The first neighbour
+    draw needs no record of displaced positions, since nothing has moved
+    yet; draws 2..m-1 keep one in ``moved``.
     """
     e_init = m0 * (m0 - 1) // 2
-    endpoints = array("q", bytes(16 * (e_init + m * t)))  # slot p of the endpoint list
-    ends = np.frombuffer(endpoints, np.int64)  # a view, for the writes before the loop
-    ends[:2 * e_init:2], ends[1:2 * e_init:2] = np.triu_indices(m0, 1)
-    ends[2 * e_init:].reshape(t, 2 * m)[:, ::2] = np.arange(m0, m0 + t)[:, None]
+    endpoints = memoryview(edges.reshape(-1))  # slot p of the endpoint list, as Python ints
     later = [array("q", [w for w in range(m0) if w != v]) for v in range(m0)] + [None] * t
     own_slot = 2 * e_init + 1 - 2 * m * m0  # + 2*(m*v + q): grown v's target q
     pos = 2 * e_init + 1  # the next target slot
@@ -247,25 +237,20 @@ def _grow_holme_kim(m0, m, t, uniforms):
                         later[v] = array("q", (new,))
                     else:
                         later[v].append(new)
-    degree = np.bincount(ends, minlength=m0 + t).astype(np.int64, copy=False)
-    return ends.reshape(-1, 2), degree
 
 
-def _grow_sequential(m0, m, t, uniforms):
+def _grow_sequential(m0, m, t, uniforms, targets_out):
     """Sequential growth: m draws proportional to the degrees frozen at step start.
 
-    Draws are without replacement: a picked vertex's weight drops to 0
-    until the step ends. The integer weights sit in a Fenwick tree, so
+    Writes the m*t targets into targets_out and returns its own degree
+    count. Draws are without replacement: a picked vertex's weight drops
+    to 0 until the step ends. The integer weights sit in a Fenwick tree, so
     each draw and each weight change costs O(log n): a draw descends the
     tree to the first vertex whose cumulative weight exceeds u * total,
     comparing Python ints with the float u * total exactly. A draw above
     total - 1 is clamped to it: that picks the same vertex, the last one
     still holding weight, also when u * total rounds up to total.
     """
-    e_init = m0 * (m0 - 1) // 2
-    edges = np.empty((e_init + m * t, 2), np.int64)
-    edges[:e_init, 0], edges[:e_init, 1] = np.triu_indices(m0, 1)
-    edges[e_init:, 0] = np.repeat(np.arange(m0, m0 + t), m)
     size = 1 << (m0 + t).bit_length()  # tree[size] holds the total, never passed
     tree = [0] * (size + 1)  # tree[i] sums the weights of vertices (i - lowbit(i), i]
     degree, targets = [m0 - 1] * m0 + [0] * t, []
@@ -296,8 +281,8 @@ def _grow_sequential(m0, m, t, uniforms):
         degree[new] = m
         add(new, m)
         targets += picks
-    edges[e_init:, 1] = targets
-    return edges, np.array(degree, np.int64)
+    targets_out[:] = targets
+    return np.array(degree, np.int64)
 
 
 def grow(m0, m, t, uniforms, sequential):
@@ -306,9 +291,16 @@ def grow(m0, m, t, uniforms, sequential):
     Vertices are internal indices 0..m0+t-1 (0..m0-1 initial). Returns
     int64 (edges, degree), edges (E, 2) in insertion order: the clique's
     pairs (i, j), i < j, ascending, then m rows (new, target) per step.
+    Everything but the targets is written here; the kernel writes those.
     """
+    e_init = m0 * (m0 - 1) // 2
+    edges = np.empty((e_init + m * t, 2), np.int64)
+    edges[:e_init, 0], edges[:e_init, 1] = np.triu_indices(m0, 1)
+    edges[e_init:].reshape(t, m, 2)[:, :, 0] = np.arange(m0, m0 + t)[:, None]
     if sequential:
-        return _grow_sequential(m0, m, t, uniforms)
+        return edges, _grow_sequential(m0, m, t, uniforms, edges[e_init:, 1])
     if m == 1:
-        return _grow_holme_kim_m1(m0, t, uniforms[:, 0])
-    return _grow_holme_kim(m0, m, t, uniforms)
+        _grow_holme_kim_m1(edges, e_init, uniforms[:, 0])
+    else:
+        _grow_holme_kim(edges, m0, m, t, uniforms)
+    return edges, np.bincount(edges.reshape(-1), minlength=m0 + t).astype(np.int64, copy=False)

@@ -203,7 +203,7 @@ def passage_curve(k: int, i: int, t_max: int, params: ChainParams,
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureDistribution:
     """Network-level degree law P(k, t) averaged over all vertices.
 
@@ -212,6 +212,9 @@ class MixtureDistribution:
     the top reachable degree kcap (``capped`` false) that is the full
     law, bit for bit; `exact`'s cap K + 1 lumps the mass above K (1.4e-17
     at t=5000, m=1, m0=3), `compare`'s m + ceil(16 sqrt t) lumps 6.5e-38.
+    A capped law must have cap > k_max, so every reported degree is read
+    as its probability. Laws compare and hash by identity, as the array
+    field has no scalar equality.
     """
 
     time: int
@@ -219,6 +222,10 @@ class MixtureDistribution:
     k_max: int               # the largest reported degree
     probs_full: np.ndarray   # cells 0..cap, the last holding the mass at degrees >= cap
     mean_degree: float
+
+    def __post_init__(self):
+        if self.capped and self.cap <= self.k_max:
+            raise ConfigurationError(f"law capped at {self.cap} cannot report degree {self.k_max}")
 
     @property
     def k(self) -> np.ndarray:
@@ -303,6 +310,7 @@ def network_distribution(t: int, params: ChainParams, k_max: int | None = None, 
     cap = kcap if cap is None else min(cap, kcap)
     s_new, s_init, moment = mixture_roll(m, m0, params.d, t, cap=cap)
     probs_full = (s_new + s_init) / n
+    probs_full.flags.writeable = False
     mean = float((np.arange(cap) * probs_full[:cap]).sum()) + moment / n
     _require(f"network law at t={t} sums to", float(probs_full.sum()), 1, t)
     _require(f"network law at t={t} has mean degree", mean, (params.n0 + 2 * m * t) / n, t)

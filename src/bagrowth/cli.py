@@ -141,8 +141,7 @@ def cmd_compare(args) -> int:
                                  cap=fit_cap(config.t, config.m, k_max))
     stats = run_replicates(config, threads=args.threads)
     report = compare_to_exact(stats, exact)
-    limit_hi = min(8 * args.m, exact.k_max)
-    limit_report = compare_to_limit(stats, (args.m, limit_hi), exact=exact)
+    limit_report = compare_to_limit(stats, exact)
     head = header(m0=args.m0, m=args.m, t=args.t, seed=args.seed,
                   scheme=args.scheme, replicates=args.replicates)
     write_stats_csv(stats, exact, args.out + ".stats.csv", header=head)

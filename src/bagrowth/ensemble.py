@@ -28,6 +28,7 @@ MIN_EXPECTED = 5.0  # adjacent chi-square cells merge until each group expects t
 # grows like sqrt t, and the mass at or above it is 8e-44, 6.5e-38 and 5.8e-37
 # at t = 1e3, 5e3 and 1e4 (m=1, m0=3)
 FIT_CAP_ROOTS = 16.0
+LIMIT_SPAN = 8  # compare_to_limit reads degrees m..min(8m, K)
 CHUNKSIZE = 8  # replicates per task sent to a pool worker
 # Import, start and teardown of a 2-worker process pool running a trivial
 # map from a 55-MB CLI process: 3.4 + 9-10 ms (2 vCPUs, Linux fork).
@@ -76,19 +77,12 @@ class EnsembleStats:
         rep_freq = self.rep_counts / self.num_vertices
         return np.sqrt(rep_freq.var(axis=0, ddof=1) / r)
 
-    def check_law(self, exact: MixtureDistribution, hi: int | None = None) -> None:
-        """Raise ConfigurationError unless exact has this ensemble's (params, t).
-
-        A reader of degrees up to hi also needs a capped law rolled past hi,
-        since its cell cap lumps every degree >= cap; a full law (not
-        ``capped``) is 0 above its top cell.
-        """
+    def check_law(self, exact: MixtureDistribution) -> None:
+        """Raise ConfigurationError unless exact has this ensemble's (params, t)."""
         cfg = self.config
         if (exact.params, exact.time) != (cfg.params, cfg.t):
             raise ConfigurationError(f"ensemble {cfg.params}, t={cfg.t} and law "
                                      f"{exact.params}, t={exact.time} differ")
-        if hi is not None and exact.capped and exact.cap <= hi:
-            raise ConfigurationError(f"law capped at {exact.cap} cannot be read up to degree {hi}")
 
 
 def pool_workers(threads: int, replicates: int) -> int:
@@ -306,22 +300,20 @@ def compare_to_exact(stats: EnsembleStats, exact: MixtureDistribution) -> FitRep
     )
 
 
-def compare_to_limit(stats: EnsembleStats, k_range: tuple,
-                     exact: MixtureDistribution) -> FitReport:
+def compare_to_limit(stats: EnsembleStats, exact: MixtureDistribution) -> FitReport:
     """Relative gaps of empirical frequencies vs the limit at the ensemble's m.
 
-    k_range = (lo, hi) must satisfy m <= lo <= hi. Precondition check:
-    the exact finite-t law, the ensemble's own rolled past hi, must
-    already sit closer to the limit than the ensemble's statistical
-    resolution over k_range; when it does not, the report is flagged
-    inconclusive rather than failed. The tail exponent is fitted over
-    k in [5, 50] at every m.
+    The window is degrees m..min(LIMIT_SPAN * m, exact.k_max), which any
+    law reads as probabilities: a capped one lumps only degrees above
+    k_max. Precondition check: the exact finite-t law, the ensemble's
+    own, must already sit closer to the limit than the ensemble's
+    statistical resolution over the window; when it does not, the report
+    is flagged inconclusive rather than failed. The tail exponent is
+    fitted over k in [5, 50] at every m.
     """
-    cfg, (lo, hi) = stats.config, k_range
-    m = cfg.m
-    if not m <= lo <= hi:
-        raise ConfigurationError(f"k_range ({lo}, {hi}) must satisfy m <= lo <= hi (m={m})")
-    stats.check_law(exact, hi)
+    stats.check_law(exact)
+    m = stats.config.m
+    lo, hi = m, min(LIMIT_SPAN * m, exact.k_max)
     ks = np.arange(lo, hi + 1)
     limit = np.array([steady_state(int(k), m) for k in ks])
     exact_window = padded(exact.probs_full, hi + 1)[lo:]

@@ -31,7 +31,7 @@ DEFAULT_ENUM_BOUND = 12
 
 @dataclass
 class GraphState:
-    """A growing simple undirected graph.
+    """A grown simple undirected graph.
 
     degree/edges use internal indices 0..n-1; index i maps to label
     i-m0 for i < m0 (initial vertices) and i-m0+1 otherwise.

@@ -104,7 +104,7 @@ def write_stats_csv(stats: EnsembleStats, exact: MixtureDistribution, path,
                     header: str = "") -> None:
     """CSV 'k,count,freq,se,p_exact,p_limit' over the window of the ensemble's law."""
     m, n = stats.config.m, exact.k_max + 1
-    stats.check_law(exact, n - 1)
+    stats.check_law(exact)
     counts, freq, se = (padded(x, n) for x in (stats.counts, stats.freq, stats.se))
     rows = [(k, int(counts[k]), float(freq[k]), float(se[k]), p, steady_state(k, m))
             for k, p in zip(exact.k.tolist(), exact.probs.tolist())]

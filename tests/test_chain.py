@@ -462,6 +462,24 @@ def test_a_network_law_is_frozen_and_derives_its_window():
     assert dist.tail == dist.probs_full[21]
 
 
+def test_a_network_law_compares_and_hashes_by_identity():
+    dist = bg.network_distribution(300, P1, 20, cap=21)
+    other = bg.network_distribution(300, P1, 20, cap=21)
+    assert dist == dist and dist != other
+    assert hash(dist) == hash(dist)
+    assert {dist, other} == {other, dist}
+
+
+def test_a_network_law_cells_are_read_only():
+    dist = bg.network_distribution(300, P1, 20, cap=21)
+    tail = dist.tail
+    with pytest.raises(ValueError, match="read-only"):
+        dist.probs_full[21] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        dist.probs[0] = 0.5
+    assert dist.tail == tail
+
+
 @pytest.mark.parametrize("bad,match", [("moment", "mean degree"), ("mass", "sums to")])
 def test_window_law_keeps_both_checks(monkeypatch, bad, match):
     from bagrowth import chain

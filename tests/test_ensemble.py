@@ -98,32 +98,44 @@ def test_compare_to_limit_requires_matching_exact_law():
     for t, m0 in ((21, 3), (20, 4)):
         exact = bg.network_distribution(t, bg.ChainParams(m=1, m0=m0))
         with pytest.raises(bg.ConfigurationError):
-            bg.compare_to_limit(stats, (1, 5), exact=exact)
+            bg.compare_to_limit(stats, exact=exact)
     exact = bg.network_distribution(20, bg.ChainParams(m=2, m0=3))
     with pytest.raises(bg.ConfigurationError):
-        bg.compare_to_limit(stats, (1, 5), exact=exact)
+        bg.compare_to_limit(stats, exact=exact)
 
 
-def test_compare_to_limit_refuses_a_law_capped_within_k_range():
-    # cell 4 of a law capped at 4 lumps every degree >= 4: it is not P(4)
+def test_compare_to_limit_reads_degrees_m_to_min_8m_and_k_max():
     params = bg.ChainParams(m=1, m0=3)
     stats = bg.run_replicates(bg.RunConfig(m0=3, m=1, t=300, seed=3, replicates=4))
-    for cap in (4, 8):
-        law = bg.network_distribution(300, params, k_max=3, cap=cap)
+    for k_max, width in ((5, 5), (8, 8), (40, 8)):
+        law = bg.network_distribution(300, params, k_max=k_max)
+        assert len(bg.compare_to_limit(stats, law).rel_gaps) == width
+    stats = bg.run_replicates(bg.RunConfig(m0=3, m=2, t=300, seed=3, replicates=4))
+    law = bg.network_distribution(300, bg.ChainParams(m=2, m0=3), k_max=40)
+    assert len(bg.compare_to_limit(stats, law).rel_gaps) == 15  # degrees 2..16
+
+
+def test_a_law_capped_at_or_below_k_max_is_refused():
+    # cell cap of a capped law lumps every degree >= cap: it is not P(cap)
+    params = bg.ChainParams(m=1, m0=3)
+    law = bg.network_distribution(300, params, k_max=3, cap=9)
+    for cap in (3, 4):
         with pytest.raises(bg.ConfigurationError, match=f"capped at {cap}"):
-            bg.compare_to_limit(stats, (1, 8), exact=law)
-    bg.compare_to_limit(stats, (1, 8), exact=bg.network_distribution(300, params, 3, cap=9))
-    # a full law is 0 above its top reachable degree (4 at t=2), so any hi may read it
+            bg.MixtureDistribution(time=300, params=params, k_max=4,
+                                   probs_full=law.probs_full[:cap + 1],
+                                   mean_degree=law.mean_degree)
+
+
+def test_compare_to_limit_reads_a_law_capped_past_k_max_and_a_full_law_below_it():
+    params = bg.ChainParams(m=1, m0=3)
+    stats = bg.run_replicates(bg.RunConfig(m0=3, m=1, t=300, seed=3, replicates=4))
+    law = bg.network_distribution(300, params, 3, cap=4)
+    assert law.capped and len(bg.compare_to_limit(stats, law).rel_gaps) == 3
+    # a full law is 0 above its top reachable degree (4 at t=2), so K may pass it
     tiny = bg.run_replicates(bg.RunConfig(m0=3, m=1, t=2, seed=3, replicates=4))
-    bg.compare_to_limit(tiny, (1, 8), exact=bg.network_distribution(2, params, 3))
-
-
-@pytest.mark.parametrize("m, k_range", [(1, (5, 3)), (1, (0, 5)), (2, (1, 6))])
-def test_compare_to_limit_refuses_a_k_range_outside_m_lo_hi(m, k_range):
-    stats = bg.run_replicates(bg.RunConfig(m0=3, m=m, t=20, seed=1, replicates=2))
-    exact = bg.network_distribution(20, bg.ChainParams(m=m, m0=3))
-    with pytest.raises(bg.ConfigurationError, match="m <= lo <= hi"):
-        bg.compare_to_limit(stats, k_range, exact=exact)
+    law = bg.network_distribution(2, params, 8)
+    assert not law.capped and law.cap == 4
+    assert len(bg.compare_to_limit(tiny, law).rel_gaps) == 8
 
 
 def test_write_stats_csv_refuses_another_chains_law(tmp_path):
@@ -223,7 +235,7 @@ def test_compare_to_limit_inconclusive_at_small_t():
     cfg = bg.RunConfig(m0=3, m=1, t=30, seed=7, replicates=500)
     stats = bg.run_replicates(cfg)
     exact = bg.network_distribution(30, bg.ChainParams(m=1, m0=3))
-    report = bg.compare_to_limit(stats, (1, 5), exact=exact)
+    report = bg.compare_to_limit(stats, exact=exact)
     assert report.inconclusive
 
 
@@ -231,7 +243,7 @@ def test_compare_to_limit_large_t():
     cfg = bg.RunConfig(m0=3, m=1, t=4000, seed=99, replicates=60)
     stats = bg.run_replicates(cfg, threads=2)
     exact = bg.network_distribution(4000, bg.ChainParams(m=1, m0=3))
-    report = bg.compare_to_limit(stats, (1, 6), exact=exact)
+    report = bg.compare_to_limit(stats, exact=exact)
     assert not report.inconclusive
     assert np.all(report.rel_gaps < 0.1)
 
@@ -242,7 +254,7 @@ def test_sequential_baseline_tail_exponent():
                        replicates=20)
     stats = bg.run_replicates(cfg, threads=2)
     exact = bg.network_distribution(3000, bg.ChainParams(m=2, m0=5))
-    report = bg.compare_to_limit(stats, (2, 10), exact=exact)
+    report = bg.compare_to_limit(stats, exact=exact)
     assert 2.6 <= -report.exponent <= 3.4
 
 

@@ -1,4 +1,3 @@
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -58,14 +57,6 @@ def test_limit_recursion_reproduces_closed_form():
             assert p > 0
 
 
-def test_limit_recursion_example():
-    assert Fraction(2, 3) * (2 - 1) / (2 + 2) == Fraction(1, 6)
-    p = Fraction(1, 2)
-    for k in range(3, 11):
-        p = p * (k - 1) / (k + 2)
-    assert p == Fraction(1, 110)
-
-
 def test_partial_sums_telescope():
     for m in (1, 2, 3):
         running = Fraction(0)
@@ -77,64 +68,6 @@ def test_partial_sums_telescope():
         s = bg.steady_state_partial_sum(10_000, m)
         assert s == 1 - Fraction(m * (m + 1), 10_001 * 10_002)
         assert float(1 - s) < 2e-7  # tail m(m+1)/(K+1)(K+2), m=3 gives 1.2e-7
-
-
-@dataclass
-class CesaroDiagnostic:
-    """Closed-form difference-quotient ratios and their gap to 2/(m+2).
-
-    The Cesaro ratio sequence (2n + d) / ((m+2)n + d + m*m0) is the
-    closed-form difference quotient whose limit establishes P(m); its
-    gap to 2/(m+2) decays like C/n.
-    """
-
-    params: bg.ChainParams
-    n: np.ndarray
-    ratios: np.ndarray
-    ratios_exact: list  # Fractions, same order
-
-    @property
-    def limit(self) -> Fraction:
-        return Fraction(2, self.params.m + 2)
-
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.abs(self.ratios - float(self.limit))
-
-
-def cesaro_ratios(n_max, params):
-    """Ratio sequence (2n + d) / ((m+2)n + d + m*m0) for n = 1..n_max."""
-    m, m0, d = params.m, params.m0, Fraction(params.n0, params.m)
-    exact = [Fraction(2 * n + d, (m + 2) * n + d + m * m0)
-             for n in range(1, n_max + 1)]
-    return CesaroDiagnostic(params=params,
-                            n=np.arange(1, n_max + 1),
-                            ratios=np.array([float(r) for r in exact]),
-                            ratios_exact=exact)
-
-
-def test_cesaro_constant_parameter_sets():
-    diag = cesaro_ratios(20, bg.ChainParams(m=1, m0=3))
-    assert all(r == Fraction(2, 3) for r in diag.ratios_exact)
-    diag = cesaro_ratios(20, bg.ChainParams(m=2, m0=5))
-    assert all(r == Fraction(1, 2) for r in diag.ratios_exact)
-
-
-def test_cesaro_m2_m04():
-    # d = 12/2 = 6: ratio_n = (2n+6)/(4n+6+8)
-    diag = cesaro_ratios(3, bg.ChainParams(m=2, m0=4))
-    assert diag.ratios_exact[0] == Fraction(8, 18)
-    assert diag.ratios_exact[1] == Fraction(10, 22)
-
-
-def test_cesaro_converges_like_one_over_n():
-    params = bg.ChainParams(m=3, m0=6)
-    diag = cesaro_ratios(10_000, params)
-    assert diag.ratios_exact[-1] != diag.limit
-    assert diag.gaps[-1] < 1e-3
-    # gap * n approaches a constant
-    scaled = diag.gaps * diag.n
-    assert abs(scaled[-1] - scaled[-100]) < 1e-3
 
 
 def test_tail_exponent_recovers_pure_power_law():
